@@ -17,8 +17,8 @@ The chain has three layers:
 3. Assembly per direction: the uplink SINR is normalized by rho (power
    control pins the mean received power), the downlink by P_b r_o^(-eta),
    and the downlink result is additionally averaged over the serving
-   distance; its inner r_o integral is evaluated by batched adaptive
-   quadrature across all outer z nodes at once.
+   distance; its inner r_o integral is evaluated by one adaptive quadrature
+   over the family of all outer z nodes at once.
 
 eta = 4 admits arctan closed forms for the 2F1 factors; the *_eta4 variants
 implement those and must agree with the general path to high accuracy.
@@ -42,7 +42,7 @@ from .pulse import BandPlan, InterferenceFactors
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    adaptive_quad_batch,
+    adaptive_quad,
     hyp2f1_special,
     integrate_semi_infinite,
 )
@@ -292,7 +292,7 @@ def _ber_downlink_core(factors: InterferenceFactors, p: SystemParams,
             return density * lt_d(z_col / omega2, r) * np.exp(
                 -z_col * b_r / omega2)
 
-        return adaptive_quad_batch(g, 0.0, r_max, inner_spec)
+        return adaptive_quad(g, 0.0, r_max, inner_spec)
 
     def outer(z):
         z = np.asarray(z, dtype=float)

@@ -9,8 +9,8 @@ key=value text with %.12g formatting, so identical configs and seeds
 reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 UE placement starvation, 5 quadrature failure.  Failures print one
-machine-readable JSON line to stderr.
+4 UE placement starvation, 5 quadrature failure, 6 crossing refinement
+stalled.  Failures print one machine-readable JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pu
 from .specfun import QuadratureError
 from .sweep import (
     NoCrossingError,
+    RefinementStallError,
     SweepSource,
     compare_duplex_schemes,
     find_operating_points,
@@ -45,6 +46,7 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_STARVATION = 4
 EXIT_QUADRATURE = 5
+EXIT_REFINEMENT = 6
 
 BER_TOLERANCE = 0.02   # cross-validation gate, absolute BER units
 WORKERS_ENV = "ALPHADUPLEX_WORKERS"
@@ -470,6 +472,9 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         _error_line("quadrature", str(exc))
         return EXIT_QUADRATURE
+    except RefinementStallError as exc:
+        _error_line("refinement", str(exc))
+        return EXIT_REFINEMENT
     except ConfigError as exc:
         _error_line("config", str(exc))
         return EXIT_CONFIG

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .model import (
     M_PER_KM,
@@ -163,6 +162,8 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
     region and letting each cell keep its first admissible one, but the
     acceptance rate stays O(1) per BS.
     """
+    from scipy.spatial import cKDTree  # deferred: only simulations need it
+
     if realization_index < 0:
         raise ValueError("realization_index must be nonnegative")
     rng = np.random.default_rng(

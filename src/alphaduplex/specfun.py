@@ -162,111 +162,72 @@ _G_WEIGHTS = np.zeros_like(_K_WEIGHTS)
 _G_WEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: (15-point estimate, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _K_NODES), dtype=float)
-    kron = half * float(np.dot(_K_WEIGHTS, y))
-    gauss = half * float(np.dot(_G_WEIGHTS, y))
-    return kron, abs(kron - gauss)
+def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod estimates of m panels [lo_j, hi_j] from one call of f.
+
+    ``f`` sees the m x 15 Kronrod nodes as one flat array of points and
+    returns values of shape (..., 15 m).  Returns the 15-point estimates and
+    their error estimates, each of shape (..., m).
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    y = np.asarray(f((mid[:, None] + half[:, None] * _K_NODES).ravel()),
+                   dtype=float)
+    y = y.reshape(y.shape[:-1] + (len(lo), len(_K_NODES)))
+    kron = half * (y @ _K_WEIGHTS)
+    gauss = half * (y @ _G_WEIGHTS)
+    return kron, np.abs(kron - gauss)
 
 
 def adaptive_quad(f: Callable, a: float, b: float,
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                  spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Globally adaptive Gauss-Kronrod bisection on a finite interval.
 
-    ``f`` must accept an ndarray of evaluation points.  Raises
+    ``f(x)`` maps evaluation points of shape (k,) to values of shape
+    (..., k); the integral is taken along the last axis and returned with
+    shape (...), as a float when that shape is ().  A family of integrands
+    shares one subdivision tree, refined where the worst component error
+    sits, until every component meets its own
+    max(abs_tol, rel_tol * |value|).  Each pass calls ``f`` once: on all
+    initial panels, then on both halves of each bisected panel.  Raises
     QuadratureError once ``spec.max_subdivisions`` bisections are spent
-    without meeting max(abs_tol, rel_tol * |integral|).
+    without converging.
     """
     # Seed with several panels so a feature much narrower than (b - a)
     # cannot slip between the nodes of a single rule with a tiny error
     # estimate.
     n_init = 8
     edges = np.linspace(a, b, n_init + 1)
-    heap = []
-    total_val = total_err = 0.0
-    for i in range(n_init):
-        val, err = _gk15(f, edges[i], edges[i + 1])
-        heap.append((-err, i, edges[i], edges[i + 1], val, err))
-        total_val += val
-        total_err += err
-    heapq.heapify(heap)
-    for n in range(n_init, n_init + spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-            return total_val
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _gk15(f, pa, pm)
-        rval, rerr = _gk15(f, pm, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, 2 * n, pa, pm, lval, lerr))
-        heapq.heappush(heap, (-rerr, 2 * n + 1, pm, pb, rval, rerr))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        return total_val
-    raise QuadratureError(
-        f"no convergence after {spec.max_subdivisions} subdivisions "
-        f"(estimate {total_val:.6e}, error {total_err:.3e})")
-
-
-def adaptive_quad_batch(f: Callable, a: float, b: float,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Adaptive Gauss-Kronrod for a whole family of integrands at once.
-
-    ``f(x)`` maps evaluation points of shape (k,) to values of shape
-    (..., k); the integral is taken along the last axis and returned with
-    shape (...).  All components share one subdivision tree, refined where
-    the worst component error sits, until every component meets its own
-    max(abs_tol, rel_tol * |value|).  This is the inner-integral engine for
-    families parameterized by the outer quadrature's nodes.
-    """
-
-    def panel(lo: float, hi: float):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        y = np.asarray(f(mid + half * _K_NODES), dtype=float)
-        kron = half * (y @ _K_WEIGHTS)
-        gauss = half * (y @ _G_WEIGHTS)
-        return kron, np.abs(kron - gauss)
-
-    n_init = 8
-    edges = np.linspace(a, b, n_init + 1)
-    heap = []
-    val, err = panel(edges[0], edges[1])
-    total_val = np.array(val, dtype=float)
-    total_err = np.array(err, dtype=float)
-    heap.append((-float(err.max()), 0, edges[0], edges[1], val, err))
-    for i in range(1, n_init):
-        v, e = panel(edges[i], edges[i + 1])
-        total_val += v
-        total_err += e
-        heap.append((-float(e.max()), i, edges[i], edges[i + 1], v, e))
+    vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
+    total_val = vals.sum(axis=-1)
+    total_err = errs.sum(axis=-1)
+    worst = errs.reshape(-1, n_init).max(axis=0).tolist()
+    heap = [(-worst[i], i, edges[i], edges[i + 1], vals[..., i], errs[..., i])
+            for i in range(n_init)]
     heapq.heapify(heap)
 
-    for n in range(n_init, n_init + spec.max_subdivisions):
-        bound = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_val))
-        if np.all(total_err <= bound):
-            return total_val
+    n = n_init
+    while not np.all(total_err <= np.maximum(
+            spec.abs_tol, spec.rel_tol * np.abs(total_val))):
+        if n == n_init + spec.max_subdivisions:
+            raise QuadratureError(
+                f"no convergence after {spec.max_subdivisions} subdivisions "
+                f"(worst error {np.max(total_err):.3e})")
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        lval, lerr = panel(pa, pm)
-        rval, rerr = panel(pm, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-float(lerr.max()), 2 * n, pa, pm, lval, lerr))
-        heapq.heappush(heap, (-float(rerr.max()), 2 * n + 1, pm, pb, rval, rerr))
-    bound = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_val))
-    if np.all(total_err <= bound):
-        return total_val
-    raise QuadratureError(
-        f"batch quadrature not converged after {spec.max_subdivisions} "
-        f"subdivisions (worst error {float(total_err.max()):.3e})")
+        vals, errs = _gk15_panels(f, np.array([pa, pm]), np.array([pm, pb]))
+        total_val += vals.sum(axis=-1) - pval
+        total_err += errs.sum(axis=-1) - perr
+        worst = errs.reshape(-1, 2).max(axis=0).tolist()
+        for j, (lo, hi) in enumerate(((pa, pm), (pm, pb))):
+            heapq.heappush(heap, (-worst[j], 2 * n + j, lo, hi,
+                                  vals[..., j], errs[..., j]))
+        n += 1
+    return total_val if total_val.ndim else float(total_val)
 
 
 def integrate_semi_infinite(f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                            decay_rate: float = 1.0) -> float:
+                            decay_rate: float = 1.0):
     """Integrate f over (0, inf) for integrands with an integrable 1/sqrt(z) singularity.
 
     ``f`` must be dominated by an envelope M * exp(-decay_rate * z) / sqrt(z)
@@ -275,7 +236,8 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATU
     z = t^2 removes the endpoint singularity, and the upper limit is cut where
     the known envelope drops below abs_tol.
 
-    ``f`` must accept ndarray arguments.
+    ``f`` maps points of shape (k,) to values of shape (..., k), as for
+    adaptive_quad, and the result has shape (...).
     """
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analytic import (
     LinkMetrics,
@@ -44,6 +43,7 @@ from .pulse import (
 __all__ = [
     "SweepSource",
     "NoCrossingError",
+    "RefinementStallError",
     "ThroughputPair",
     "Crossing",
     "SweepResult",
@@ -71,6 +71,10 @@ class SweepSource(Enum):
 
 class NoCrossingError(RuntimeError):
     """Uplink and downlink throughput never cross on the swept range."""
+
+
+class RefinementStallError(RuntimeError):
+    """A bracketed crossing could not be polished to the balance tolerance."""
 
 
 @dataclass(frozen=True)
@@ -379,6 +383,8 @@ def _local_minima_windows(curves: _CachedCurves,
 
 def _balanced_crossings(curves: _CachedCurves,
                         alphas: tuple[float, ...]) -> list[Crossing]:
+    from scipy.optimize import brentq  # deferred: it also imports scipy.spatial
+
     roots, brackets = _scan(curves, alphas)
     if not roots and not brackets:
         # near-touches hide between grid points; densify around each local
@@ -390,8 +396,9 @@ def _balanced_crossings(curves: _CachedCurves,
     for lo, hi in brackets:
         root = float(brentq(curves.gap, lo, hi, xtol=1e-13))
         if not curves.balanced_at(root):
-            raise RuntimeError("crossing refinement stalled above the "
-                               "requested balance tolerance")
+            raise RefinementStallError(
+                "crossing refinement stalled above the requested balance "
+                f"tolerance near alpha = {root:.12g}")
         roots.append(root)
     roots.sort()
     return [Crossing(alpha=r, t_ul=curves.point(r)[0].throughput,
@@ -420,9 +427,10 @@ def find_operating_points(sr: SweepResult,
     point qualifies it falls back to zero overlap.
 
     Raises NoCrossingError when the throughput gap keeps one sign over the
-    swept range.  Monte Carlo sweeps are searchable too (fixed seed makes
-    the curves deterministic and continuous in alpha), but every off-grid
-    probe re-runs the campaign.
+    swept range, and RefinementStallError when a bracketed root cannot be
+    polished to refine_tol.  Monte Carlo sweeps are searchable too (fixed
+    seed makes the curves deterministic and continuous in alpha), but every
+    off-grid probe re-runs the campaign.
     """
     if not _MIN_REFINE_TOL <= refine_tol < 1.0:
         raise ValueError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1)")

@@ -3,15 +3,18 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from alphaduplex import cli
+from alphaduplex import cli, sweep
 from alphaduplex.analytic import ber_downlink_eta4, ber_uplink_eta4
 from alphaduplex.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_QUADRATURE,
+    EXIT_REFINEMENT,
     EXIT_STARVATION,
     EXIT_VALIDATION,
     ConfigError,
@@ -260,6 +263,19 @@ class TestCommands:
         rc = cli.main(["analytic", "--out", str(tmp_path)])
         assert rc == EXIT_QUADRATURE
 
+    def test_refinement_stall_exit_code(self, tmp_path, monkeypatch, capsys):
+        # no polished root ever meets the balance tolerance
+        monkeypatch.setattr(sweep._CachedCurves, "balanced_at",
+                            lambda self, alpha: False)
+        rc = cli.main(["sweep", "--out", str(tmp_path),
+                       "--alpha-grid", "0:1:0.1"])
+        assert rc == EXIT_REFINEMENT
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "refinement"
+        assert "stalled" in err["message"]
+
 
 class TestErrorHandling:
     def test_config_error_exit_and_json_line(self, tmp_path, capsys):
@@ -284,6 +300,15 @@ class TestErrorHandling:
         capsys.readouterr()
         assert cli.main(["analytic", "--out", str(tmp_path),
                          "--alpha-grid", "0::1"]) == EXIT_CONFIG
+
+    def test_import_defers_scipy_spatial(self):
+        # scipy.spatial (and scipy.optimize, which imports it) load only
+        # when a simulation or an operating-point search needs them
+        code = ("import sys, alphaduplex.cli; "
+                "print('scipy.spatial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

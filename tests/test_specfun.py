@@ -182,6 +182,56 @@ class TestAdaptiveQuad:
         with pytest.raises(QuadratureError):
             adaptive_quad(lambda t: np.sin(1e5 * t), 0.0, 1.0, spec)
 
+    def test_scalar_family_returns_float(self):
+        val = adaptive_quad(lambda t: np.cos(t), 0.0, 1.0)
+        assert type(val) is float
+        assert val == pytest.approx(np.sin(1.0), rel=1e-14)
+
+
+class TestAdaptiveQuadFamily:
+    # a (2, 3) family: smooth, peaked and spiked members, so the shared
+    # subdivision tree must refine for the narrowest one
+    WIDTHS = np.array([[1.0, 0.1, 0.01], [0.3, 0.03, 3e-3]])
+    CENTER = 0.137
+
+    def family(self, t):
+        w = self.WIDTHS[..., None]
+        return np.exp(-((t - self.CENTER) / w) ** 2)
+
+    def test_matches_per_component_integrals(self):
+        val = adaptive_quad(self.family, 0.0, 1.0)
+        assert val.shape == self.WIDTHS.shape
+        for idx in np.ndindex(self.WIDTHS.shape):
+            w = self.WIDTHS[idx]
+            single = adaptive_quad(
+                lambda t: np.exp(-((t - self.CENTER) / w) ** 2), 0.0, 1.0)
+            assert val[idx] == pytest.approx(single, rel=1e-9)
+
+    def test_one_call_per_pass(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return self.family(t)
+
+        adaptive_quad(f, 0.0, 1.0)
+        # 8 initial panels x 15 nodes, then both halves of each bisection
+        assert sizes[0] == 8 * 15
+        assert len(sizes) > 1
+        assert all(n == 2 * 15 for n in sizes[1:])
+
+    def test_exhausted_budget_raises_after_budget_calls(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.stack([np.cos(t), np.sin(1e5 * t)])
+
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=5)
+        with pytest.raises(QuadratureError):
+            adaptive_quad(f, 0.0, 1.0, spec)
+        assert len(calls) == 1 + spec.max_subdivisions
+
 
 class TestIntegrateSemiInfinite:
     def test_sqrt_pi(self):
@@ -211,6 +261,14 @@ class TestIntegrateSemiInfinite:
         oracle = np.trapezoid(g, t)
         val = integrate_semi_infinite(f, decay_rate=1.3)
         assert val == pytest.approx(oracle, rel=1e-9)
+
+    def test_vector_valued_integrand(self):
+        # int_0^inf e^(-c z) / sqrt(z) dz = sqrt(pi / c), for each c at once
+        rates = np.array([1.0, 1.5, 2.0, 4.0])
+        val = integrate_semi_infinite(
+            lambda z: np.exp(-rates[:, None] * z) / np.sqrt(z))
+        assert val.shape == rates.shape
+        np.testing.assert_allclose(val, np.sqrt(np.pi / rates), rtol=1e-12)
 
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,16 @@ class TestOperatingPoints:
         assert 0.20 <= pts.balanced_alpha <= 0.35
         assert len(pts.crossings) == 2
 
+    def test_reference_sweep_frozen_values(self, pts101):
+        # summary.txt of `alphaduplex sweep --alpha-grid 0:1:0.01` at the
+        # reference config, frozen at 12 significant digits
+        assert [c.alpha for c in pts101.crossings] == pytest.approx(
+            [0.276410101018, 0.278950080765], abs=1e-8)
+        assert pts101.hd_baseline.ul == pytest.approx(776058.725091, rel=1e-8)
+        assert pts101.hd_baseline.dl == pytest.approx(879081.531941, rel=1e-8)
+        assert pts101.fd_point.ul == pytest.approx(84208.2624115, rel=1e-8)
+        assert pts101.fd_point.dl == pytest.approx(1378393.44771, rel=1e-8)
+
     def test_unbalanced_point(self, sr101, pts101):
         t_ul0 = pts101.hd_baseline.ul
         slack = t_ul0 * (1.0 - 1e-9)
