@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .analytic import ber_downlink, ber_downlink_eta4, ber_uplink, ber_uplink_eta4
 from .model import Direction, SystemParams, db_to_linear, dbm_to_watts
 from .montecarlo import SimConfig, StarvationError, run_campaign
 from .pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
@@ -34,6 +33,7 @@ from .sweep import (
     NoCrossingError,
     RefinementStallError,
     SweepSource,
+    _evaluate_point,
     compare_duplex_schemes,
     find_operating_points,
     sweep_alpha,
@@ -358,17 +358,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     metrics = run_campaign(cfg.params, cfg.sim, list(cfg.alpha_grid),
                            cfg.pulses)
-    eta4 = cfg.params.eta == 4.0
-    ul_fn = ber_uplink_eta4 if eta4 else ber_uplink
-    dl_fn = ber_downlink_eta4 if eta4 else ber_downlink
+    # rows come as (uplink, downlink) per alpha; one analytic point each
+    analytic = []
+    for m in metrics[::2]:
+        analytic.extend(_evaluate_point(cfg.params, cfg.pulses, None, None,
+                                        SweepSource.ANALYTIC, m.alpha))
     rows = []
     max_gap = {Direction.UPLINK: 0.0, Direction.DOWNLINK: 0.0}
     failed = False
-    for m in metrics:
-        plan = BandPlan(cfg.params.b_u, cfg.params.b_d, m.alpha)
-        fac = interference_factors(plan, *make_pulses(cfg.pulses, plan))
-        fn = ul_fn if m.direction is Direction.UPLINK else dl_fn
-        analytic_ber = fn(m.alpha, fac, cfg.params).ber
+    for m, point in zip(metrics, analytic):
+        analytic_ber = point.ber
         gap = abs(analytic_ber - m.mean_ber)
         tol = max(BER_TOLERANCE, 4.0 * m.std_err)
         ok = gap <= tol

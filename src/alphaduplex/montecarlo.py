@@ -12,6 +12,10 @@ configuration: exactly one UE per Voronoi cell, rather than an
 independent PPP of interferers.  Agreement between the two paths is the
 main cross-validation result.
 
+Links are assembled per realization and direction as one block: the
+(links x BSs) distances and fading gains of all core links at once, the
+gains drawn in the order a link-by-link loop would draw them.
+
 Common random numbers: geometry and gains are drawn once per
 realization from substreams keyed by (seed, realization index), and the
 interference sums are stored factored so that every overlap fraction
@@ -188,7 +192,8 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
         cand = bs[unserved] + np.column_stack(
             (radius * np.cos(angle), radius * np.sin(angle)))
         inside = np.all((cand >= 0.0) & (cand <= cfg.region_side), axis=1)
-        _, nearest = tree.query(cand)
+        # the owner lies within r_max; the margin absorbs coordinate rounding
+        _, nearest = tree.query(cand, distance_upper_bound=r_max_km * (1 + 1e-9))
         ok = inside & (nearest == unserved)
         won = unserved[ok]
         ue[won] = cand[ok]
@@ -205,43 +210,35 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
     return NetworkRealization(bs, ue, tx, dist, cfg.region_side, cfg.core_side)
 
 
-def _uplink_parts(test_bs: int, real: NetworkRealization, p: SystemParams,
-                  rng) -> tuple:
-    """Desired gain and factored interference sums at the tagged BS.
+def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
+                real: NetworkRealization, p: SystemParams, rng) -> tuple:
+    """Desired gains and factored interference sums of k links at once.
 
-    Returns (h0, bs_sum, ue_sum) where bs_sum carries the full P_b r^-eta
-    fading-weighted power of every other BS and ue_sum the same for every
-    other active UE; cross factors multiply these afterwards.
+    Link i receives at rx_pos[i] (km) and belongs to BS tagged[i], whose
+    BS and active UE it leaves out.  Its gains are row i of one
+    (k, 2 n_bs - 1) block (h0, the other BSs', the other UEs'), as a
+    link-by-link loop draws them.  Returns (h0, bs_sum, ue_sum), each of
+    shape (k,): bs_sum is the full P_b r^-eta fading-weighted power of
+    every other BS, ue_sum the same for every other active UE; cross
+    factors multiply these afterwards.
     """
-    rx = real.bs_positions[test_bs]
-    keep = np.arange(real.n_bs) != test_bs
-    h0 = float(rng.exponential())
-    d_bs = M_PER_KM * np.linalg.norm(real.bs_positions[keep] - rx, axis=1)
-    g_bs = rng.exponential(size=d_bs.size)
-    bs_sum = p.p_b * float(np.sum(g_bs * d_bs ** -p.eta))
-    d_ue = M_PER_KM * np.linalg.norm(real.ue_positions[keep] - rx, axis=1)
-    g_ue = rng.exponential(size=d_ue.size)
-    ue_sum = float(np.sum(real.tx_power[keep] * g_ue * d_ue ** -p.eta))
-    return h0, bs_sum, ue_sum
+    k, n = tagged.size, real.n_bs
+    if k == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    g = rng.exponential(size=(k, 2 * n - 1))
+    # row i: every BS index but tagged[i], in order
+    others = np.arange(n - 1) + (np.arange(n - 1) >= tagged[:, None])
 
+    def dist_m(pos):   # np.linalg.norm's sqrt(dx^2 + dy^2), bit for bit
+        dx = pos[:, 0][others] - rx_pos[:, :1]
+        dy = pos[:, 1][others] - rx_pos[:, 1:]
+        return M_PER_KM * np.sqrt(dx * dx + dy * dy)
 
-def _downlink_parts(test_ue: int, real: NetworkRealization, p: SystemParams,
-                    rng) -> tuple:
-    """As _uplink_parts, for the active UE of BS test_ue.
-
-    Returns (h0, r_o_m, bs_sum, ue_sum, own_tx).
-    """
-    rx = real.ue_positions[test_ue]
-    r_o_m = M_PER_KM * real.serving_distance[test_ue]
-    keep = np.arange(real.n_bs) != test_ue
-    h0 = float(rng.exponential())
-    d_bs = M_PER_KM * np.linalg.norm(real.bs_positions[keep] - rx, axis=1)
-    g_bs = rng.exponential(size=d_bs.size)
-    bs_sum = p.p_b * float(np.sum(g_bs * d_bs ** -p.eta))
-    d_ue = M_PER_KM * np.linalg.norm(real.ue_positions[keep] - rx, axis=1)
-    g_ue = rng.exponential(size=d_ue.size)
-    ue_sum = float(np.sum(real.tx_power[keep] * g_ue * d_ue ** -p.eta))
-    return h0, r_o_m, bs_sum, ue_sum, float(real.tx_power[test_ue])
+    bs_terms = g[:, 1:n] * dist_m(real.bs_positions) ** -p.eta
+    tx = real.tx_power[others]
+    ue_terms = tx * g[:, n:] * dist_m(real.ue_positions) ** -p.eta
+    h0 = g[:, 0].copy()   # a view would keep the whole block alive
+    return h0, p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)
 
 
 def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
@@ -251,7 +248,7 @@ def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
     return p.rho * h0 / denom
 
 
-def _downlink_sinr_from_parts(h0, r_o_m, bs_sum, ue_sum, own_tx,
+def _downlink_sinr_from_parts(h0, bs_sum, ue_sum, r_o_m, own_tx,
                               factors: InterferenceFactors, p: SystemParams,
                               sigma_sq: float):
     num = p.p_b * h0 * r_o_m ** -p.eta
@@ -273,9 +270,10 @@ def sinr_uplink(test_bs: int, real: NetworkRealization,
     if not 0 <= test_bs < real.n_bs:
         raise IndexError(f"test_bs {test_bs} outside [0, {real.n_bs})")
     rng = np.random.default_rng() if rng is None else rng
-    h0, bs_sum, ue_sum = _uplink_parts(test_bs, real, p, rng)
+    link = np.array([test_bs])
+    parts = _link_parts(real.bs_positions[link], link, real, p, rng)
     sigma_sq = noise_variance(p).sigma_n_sq
-    return float(_uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors, p, sigma_sq))
+    return float(_uplink_sinr_from_parts(*parts, factors, p, sigma_sq)[0])
 
 
 def sinr_downlink(test_ue: int, real: NetworkRealization,
@@ -291,10 +289,11 @@ def sinr_downlink(test_ue: int, real: NetworkRealization,
     if not 0 <= test_ue < real.n_bs:
         raise IndexError(f"test_ue {test_ue} outside [0, {real.n_bs})")
     rng = np.random.default_rng() if rng is None else rng
-    h0, r_o_m, bs_sum, ue_sum, own_tx = _downlink_parts(test_ue, real, p, rng)
+    link = np.array([test_ue])
+    parts = _link_parts(real.ue_positions[link], link, real, p, rng) + (
+        M_PER_KM * real.serving_distance[link], real.tx_power[link])
     sigma_sq = noise_variance(p).sigma_n_sq
-    return float(_downlink_sinr_from_parts(h0, r_o_m, bs_sum, ue_sum, own_tx,
-                                           factors, p, sigma_sq))
+    return float(_downlink_sinr_from_parts(*parts, factors, p, sigma_sq)[0])
 
 
 def _pooled(direction: Direction, alpha: float, vals: np.ndarray,
@@ -339,28 +338,26 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         real = sample_realization(p, cfg, idx)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(idx, 1)))
-        for b in real.core_bs_indices():
-            ul_parts.append(_uplink_parts(int(b), real, p, rng))
-        for u in real.core_ue_indices():
-            dl_parts.append(_downlink_parts(int(u), real, p, rng))
-    if not ul_parts or not dl_parts:
+        bs, ue = real.core_bs_indices(), real.core_ue_indices()
+        ul_parts.append(_link_parts(real.bs_positions[bs], bs, real, p, rng))
+        dl_parts.append(_link_parts(real.ue_positions[ue], ue, real, p, rng) + (
+            M_PER_KM * real.serving_distance[ue], real.tx_power[ue]))
+    ul = np.concatenate(ul_parts, axis=1)   # rows: h0, bs_sum, ue_sum
+    dl = np.concatenate(dl_parts, axis=1)   # and then r_o_m, own_tx
+    if ul.shape[1] == 0 or dl.shape[1] == 0:
         raise ValueError("no measurement links fell inside the core window; "
                          "increase n_realizations or the region size")
 
-    ul = np.asarray(ul_parts)   # columns: h0, bs_sum, ue_sum
-    dl = np.asarray(dl_parts)   # columns: h0, r_o_m, bs_sum, ue_sum, own_tx
     sigma_sq = noise_variance(p).sigma_n_sq
     w1_u, w2_u = p.omega(Direction.UPLINK)
     w1_d, w2_d = p.omega(Direction.DOWNLINK)
 
     out = []
     for a, fac in zip(alphas, facs):
-        sinr_u = _uplink_sinr_from_parts(ul[:, 0], ul[:, 1], ul[:, 2],
-                                         fac, p, sigma_sq)
+        sinr_u = _uplink_sinr_from_parts(*ul, fac, p, sigma_sq)
         vals_u = w1_u * erfc(np.sqrt(w2_u * sinr_u))
         out.append(_pooled(Direction.UPLINK, a, vals_u, p))
-        sinr_d = _downlink_sinr_from_parts(dl[:, 0], dl[:, 1], dl[:, 2],
-                                           dl[:, 3], dl[:, 4], fac, p, sigma_sq)
+        sinr_d = _downlink_sinr_from_parts(*dl, fac, p, sigma_sq)
         vals_d = w1_d * erfc(np.sqrt(w2_d * sinr_d))
         out.append(_pooled(Direction.DOWNLINK, a, vals_d, p))
     return out

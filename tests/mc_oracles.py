@@ -1,7 +1,7 @@
-"""Independent oracles for the closed-form interference and BER layer.
+"""Independent oracles for the closed-form layer and the link assembly.
 
-Two oracle families, both deliberately avoiding the package's own
-quadrature and hypergeometric kernels:
+Two oracle families for the closed forms, both deliberately avoiding the
+package's own quadrature and hypergeometric kernels:
 
 * Monte Carlo estimators that realize the marked point processes the
   Laplace transforms summarize: Poisson patterns on a finite disk,
@@ -15,6 +15,10 @@ quadrature and hypergeometric kernels:
   exponent written directly as a distance integral, with the transmit
   power averaged over the serving-distance law), giving deterministic
   near-machine references for the same quantities.
+
+A third oracle assembles Monte Carlo link parts one link at a time, in the
+order the simulator draws its fading gains, as a reference for the batched
+per-realization assembly.
 """
 
 import math
@@ -23,6 +27,7 @@ import numpy as np
 from scipy import integrate, special
 
 from alphaduplex.model import (
+    M_PER_KM,
     Direction,
     SystemParams,
     max_inversion_radius_m,
@@ -345,3 +350,34 @@ def ber_downlink_scipy_reference(factors: InterferenceFactors,
     val, _ = integrate.quad(outer, 0.0, 10.0,
                             epsabs=1e-12, epsrel=1e-9, limit=200)
     return w1 - (w1 / math.sqrt(math.pi)) * val
+
+
+# ---------------------------------------------------------------------------
+# Per-link Monte Carlo link assembly: one link at a time, in the simulator's
+# draw order (h0, then every other BS's gain, then every other UE's gain).
+# ---------------------------------------------------------------------------
+
+def _interference_sums(rx, own: int, real, p: SystemParams, rng):
+    keep = np.arange(real.n_bs) != own
+    h0 = float(rng.exponential())
+    d_bs = M_PER_KM * np.linalg.norm(real.bs_positions[keep] - rx, axis=1)
+    g_bs = rng.exponential(size=d_bs.size)
+    bs_sum = p.p_b * float(np.sum(g_bs * d_bs ** -p.eta))
+    d_ue = M_PER_KM * np.linalg.norm(real.ue_positions[keep] - rx, axis=1)
+    g_ue = rng.exponential(size=d_ue.size)
+    ue_sum = float(np.sum(real.tx_power[keep] * g_ue * d_ue ** -p.eta))
+    return h0, bs_sum, ue_sum
+
+
+def link_parts_per_link(real, p: SystemParams, rng):
+    """Uplink then downlink link parts of one realization, link by link.
+
+    Returns (ul, dl): ul rows are (h0, bs_sum, ue_sum) at each core BS,
+    dl rows are (h0, bs_sum, ue_sum, r_o_m, own_tx) at each core UE.
+    """
+    ul = [_interference_sums(real.bs_positions[b], b, real, p, rng)
+          for b in real.core_bs_indices()]
+    dl = [_interference_sums(real.ue_positions[u], u, real, p, rng)
+          + (M_PER_KM * real.serving_distance[u], float(real.tx_power[u]))
+          for u in real.core_ue_indices()]
+    return np.reshape(ul, (-1, 3)), np.reshape(dl, (-1, 5))

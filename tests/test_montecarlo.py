@@ -13,6 +13,7 @@ import pytest
 
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import (
+    M_PER_KM,
     Direction,
     SystemParams,
     max_inversion_radius_m,
@@ -23,6 +24,7 @@ from alphaduplex.montecarlo import (
     NetworkRealization,
     SimConfig,
     StarvationError,
+    _link_parts,
     run_campaign,
     sample_realization,
     sinr_downlink,
@@ -36,6 +38,8 @@ from alphaduplex.pulse import (
     interference_factors,
     make_pulses,
 )
+
+from mc_oracles import link_parts_per_link
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
@@ -150,6 +154,74 @@ class TestSinr:
             sinr_downlink(-1, real, ZERO, REF)
 
 
+def batched_link_parts(real, p, rng):
+    """run_campaign's per-realization assembly, as (k, 3) and (k, 5) arrays."""
+    bs = real.core_bs_indices()
+    ul = _link_parts(real.bs_positions[bs], bs, real, p, rng)
+    ue = real.core_ue_indices()
+    dl = _link_parts(real.ue_positions[ue], ue, real, p, rng) + (
+        M_PER_KM * real.serving_distance[ue], real.tx_power[ue])
+    return np.column_stack(ul), np.column_stack(dl)
+
+
+class TestLinkAssembly:
+    @pytest.mark.parametrize("seed, idx, region_side, core_side", [
+        (23, 0, 20.0, 2.0),
+        (23, 2, 20.0, 2.0),
+        (5, 7, 20.0, 2.0),
+        (3, 0, 2.0, 1.9),
+    ])
+    def test_batched_equals_per_link_oracle(self, seed, idx, region_side,
+                                            core_side):
+        cfg = SimConfig(n_realizations=idx + 1, seed=seed,
+                        region_side=region_side, core_side=core_side)
+        real = sample_realization(REF, cfg, idx)
+        stream = np.random.SeedSequence(seed, spawn_key=(idx, 1))
+        rng_oracle = np.random.default_rng(stream)
+        rng_batched = np.random.default_rng(stream)
+        ul_o, dl_o = link_parts_per_link(real, REF, rng_oracle)
+        ul_b, dl_b = batched_link_parts(real, REF, rng_batched)
+        assert ul_o.shape[0] >= 1 and dl_o.shape[0] >= 1
+        assert np.array_equal(ul_b, ul_o)
+        assert np.array_equal(dl_b, dl_o)
+        # both consumed exactly the same stream
+        assert rng_batched.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_parts_do_not_pin_the_gain_block(self):
+        # a view into the (k, 2 n_bs - 1) gains would keep every block of a
+        # campaign alive until the end, multiplying its peak memory
+        real = sample_realization(REF, SimConfig(n_realizations=1, seed=23), 0)
+        bs = real.core_bs_indices()
+        parts = _link_parts(real.bs_positions[bs], bs, real, REF,
+                            np.random.default_rng(1))
+        assert all(part.base is None for part in parts)
+
+    def test_empty_core_draws_no_gains(self):
+        cfg = SimConfig(n_realizations=2, seed=0, region_side=6.0,
+                        core_side=0.05)
+        for idx in range(cfg.n_realizations):
+            real = sample_realization(REF, cfg, idx)
+            rng = np.random.default_rng(99)
+            before = rng.bit_generator.state
+            ul_b, dl_b = batched_link_parts(real, REF, rng)
+            ul_o, dl_o = link_parts_per_link(real, REF, np.random.default_rng(99))
+            assert ul_b.shape == ul_o.shape == (0, 3)
+            assert dl_b.shape == dl_o.shape == (0, 5)
+            assert rng.bit_generator.state == before
+
+    def test_sinr_views_match_oracle_parts(self):
+        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
+        fac = InterferenceFactors.from_cross(0.3, 0.6)
+        sigma_sq = noise_variance(REF).sigma_n_sq
+        b = int(real.core_bs_indices()[0])
+        ul, _ = link_parts_per_link(real, REF, np.random.default_rng(4))
+        h0, bs_sum, ue_sum = ul[0]
+        expected = REF.rho * h0 / (fac.i_du_sq * bs_sum + fac.i_uu_sq * ue_sum
+                                   + REF.beta * REF.p_b * fac.i_su_sq + sigma_sq)
+        got = sinr_uplink(b, real, fac, REF, rng=np.random.default_rng(4))
+        assert got == expected
+
+
 class TestCampaign:
     def test_row_layout_and_ranges(self):
         cfg = SimConfig(n_realizations=3, seed=19)
@@ -176,6 +248,19 @@ class TestCampaign:
         b = run_campaign(REF, cfg, [0.0, 0.7], RT_PAIR)
         assert a == b
 
+    def test_frozen_common_random_numbers(self):
+        # (mean_ber, std_err, n_links) per row, as first produced by the
+        # per-link assembly; any change to the draw order or the sums shows
+        cfg = SimConfig(n_realizations=3, seed=23)
+        rows = run_campaign(REF, cfg, [0.0, 0.7], RT_PAIR)
+        frozen = [
+            (0.11177344601287344, 0.029640803083637184, 23),
+            (0.1698157885160617, 0.04825131408722486, 24),
+            (0.9371885611658862, 0.00596300846751318, 23),
+            (0.3307289168282321, 0.06356222292819952, 24),
+        ]
+        assert [(m.mean_ber, m.std_err, m.n_links) for m in rows] == frozen
+
     def test_small_region_usually_has_links(self):
         # Poisson(~11) core BS count: missing links is a sub-percent event
         successes = 0
@@ -193,7 +278,8 @@ class TestCampaign:
     def test_no_core_links_is_an_error(self):
         cfg = SimConfig(n_realizations=2, seed=0, region_side=6.0,
                         core_side=0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no measurement links fell "
+                                             "inside the core window"):
             run_campaign(REF, cfg, [0.0], RT_PAIR)
 
     def test_stderr_shrinks_with_pooled_links(self):
