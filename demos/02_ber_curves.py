@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from alphaduplex.analytic import ber_downlink_eta4, ber_uplink_eta4
+from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import SimConfig, run_campaign
 from alphaduplex.pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
@@ -36,8 +36,8 @@ for label, beta in betas.items():
         return interference_factors(plan, *make_pulses(pair, plan))
 
     analytic[label] = {
-        Direction.UPLINK: [ber_uplink_eta4(a, factors(a), p).ber for a in fine],
-        Direction.DOWNLINK: [ber_downlink_eta4(a, factors(a), p).ber for a in fine],
+        Direction.UPLINK: [ber_uplink(a, factors(a), p).ber for a in fine],
+        Direction.DOWNLINK: [ber_downlink(a, factors(a), p).ber for a in fine],
     }
     rows = run_campaign(p, cfg, coarse, pair)
     empirical[label] = {

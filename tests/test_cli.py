@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from alphaduplex import cli, sweep
-from alphaduplex.analytic import ber_downlink_eta4, ber_uplink_eta4
+from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -144,8 +144,8 @@ class TestCommands:
         pulses = PulsePair(uplink=PulseKind.TRIANGULAR,
                            downlink=PulseKind.RECTANGULAR)
         fac = interference_factors(plan, *make_pulses(pulses, plan))
-        ul = ber_uplink_eta4(0.0, fac, p)
-        dl = ber_downlink_eta4(0.0, fac, p)
+        ul = ber_uplink(0.0, fac, p)
+        dl = ber_downlink(0.0, fac, p)
         assert float(rows[1][2]) == pytest.approx(ul.ber, rel=1e-11)
         assert float(rows[2][2]) == pytest.approx(dl.ber, rel=1e-11)
         assert float(rows[1][4]) == pytest.approx(ul.throughput, rel=1e-11)

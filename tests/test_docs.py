@@ -1,0 +1,46 @@
+"""The demos and the README's Python blocks import only names that exist.
+
+Each source is parsed, not run, so the check is fast and needs neither
+matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
+must name a module the package has and attributes that module defines.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+
+def _sources():
+    sources = [(f"demos/{demo.name}", demo.read_text())
+               for demo in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    sources += [(f"README.md python block {i}", block)
+                for i, block in enumerate(PYTHON_BLOCK.findall(readme))]
+    return sources
+
+
+SOURCES = _sources()
+
+
+def test_sources_found():
+    names = [name for name, _ in SOURCES]
+    assert any(n.startswith("demos/") for n in names)
+    assert any(n.startswith("README.md") for n in names)
+
+
+@pytest.mark.parametrize("name,source", SOURCES, ids=[n for n, _ in SOURCES])
+def test_package_imports_resolve(name, source):
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "alphaduplex"):
+            continue
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, (f"{name}, line {node.lineno}: {node.module} "
+                             f"has no {', '.join(missing)}")

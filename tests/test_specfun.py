@@ -86,6 +86,17 @@ class TestHyp2f1Special:
         (0.75, 150.0, 0.057768922875636097),
         (0.5, 1.0e6, 0.0015697963271282298),
         (0.9, 1.0, 0.70691806287150421),
+        # b = 1 - 2/3.5 and 1 - 2/3, out to the downlink LT's largest arguments
+        (1.0 - 2.0 / 3.5, 0.5, 0.88280229967162098),
+        (1.0 - 2.0 / 3.5, 1.0e4, 0.026588362253077922),
+        (1.0 - 2.0 / 3.5, 1.0e9, 0.00019189162844920755),
+        (1.0 - 2.0 / 3.5, 1.0e15, 5.1478887606191424e-7),
+        (1.0 - 2.0 / 3.5, 1.0e20, 3.7048617926113964e-9),
+        (1.0 - 2.0 / 3.0, 0.5, 0.90164425852750967),
+        (1.0 - 2.0 / 3.0, 1.0e4, 0.056076074502831697),
+        (1.0 - 2.0 / 3.0, 1.0e9, 0.0012091990761561454),
+        (1.0 - 2.0 / 3.0, 1.0e15, 1.2091995761061452e-5),
+        (1.0 - 2.0 / 3.0, 1.0e20, 2.6051415140425999e-7),
     ]
 
     @pytest.mark.parametrize("b,x,expected", FROZEN)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from alphaduplex.analytic import ber_downlink, ber_downlink_eta4, ber_uplink, ber_uplink_eta4
+from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import SimConfig, run_campaign
 from alphaduplex.pulse import (
@@ -59,8 +59,8 @@ class TestSweepAlpha:
         alpha, ul, dl = sr.rows[0]
         assert ul.bandwidth == REF.b_u
         assert dl.bandwidth == REF.b_d
-        assert ul == ber_uplink_eta4(0.0, factors_at(0.0), REF)
-        assert dl == ber_downlink_eta4(0.0, factors_at(0.0), REF)
+        assert ul == ber_uplink(0.0, factors_at(0.0), REF)
+        assert dl == ber_downlink(0.0, factors_at(0.0), REF)
 
     def test_full_overlap_equal_bands_doubles_access(self):
         sr = sweep_alpha(REF, RT_PAIR, [1.0], SweepSource.ANALYTIC)
@@ -215,11 +215,11 @@ class TestOperatingPoints:
         # pinned cross factors and beta=0 make both BERs constants; tuning
         # the BS power equalizes them, so every alpha balances
         base = dataclasses.replace(REF, beta=0.0)
-        target = ber_uplink_eta4(0.0, ZERO, base).ber
+        target = ber_uplink(0.0, ZERO, base).ber
 
         def gap(p_b):
             p = dataclasses.replace(base, p_b=p_b)
-            return ber_downlink_eta4(0.0, ZERO, p).ber - target
+            return ber_downlink(0.0, ZERO, p).ber - target
 
         p_sym = dataclasses.replace(base, p_b=brentq(gap, 0.001, 5.0,
                                                      xtol=1e-12))
