@@ -49,7 +49,6 @@ EXIT_QUADRATURE = 5
 EXIT_REFINEMENT = 6
 
 BER_TOLERANCE = 0.02   # cross-validation gate, absolute BER units
-WORKERS_ENV = "ALPHADUPLEX_WORKERS"
 
 _DEFAULT_GRID = "0:1:0.1"
 _DEFAULT_N_REALIZATIONS = 100
@@ -277,14 +276,6 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _out_path(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.outputs, exist_ok=True)
     return os.path.join(cfg.outputs, name)
@@ -304,7 +295,7 @@ def cmd_factors(cfg: RunConfig) -> int:
 
 def _analytic_rows(cfg: RunConfig):
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid,
-                     SweepSource.ANALYTIC, workers=_workers())
+                     SweepSource.ANALYTIC)
     for alpha, ul, dl in sr.rows:
         for m in (ul, dl):
             yield (m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
@@ -332,7 +323,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid,
-                     SweepSource.ANALYTIC, workers=_workers())
+                     SweepSource.ANALYTIC)
     csv_path = _out_path(cfg, "sweep.csv")
     _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
                sr.table())

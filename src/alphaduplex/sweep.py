@@ -7,7 +7,8 @@ off-grid points later.  That re-evaluation power is what makes the
 operating-point search work: the balanced point, where uplink and downlink
 throughput cross, typically lives in a sliver far narrower than any
 reasonable grid step, so the search densifies around near-touches of the
-two curves until it brackets a sign change and then polishes the root.
+two curves until it brackets a sign change and then polishes the root
+with Brent's method (``_brent``, a port of scipy's ``brentq``).
 
 Monte Carlo sweeps are deterministic functions of the overlap fraction for
 a fixed seed (geometry and fading are drawn independently of the grid), so
@@ -17,7 +18,6 @@ the same search applies, though each off-grid probe re-runs the campaign.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -53,6 +53,10 @@ _DENSE_POINTS = 33
 _MAX_DEPTH = 8
 _MAX_WINDOWS = 5
 _MIN_REFINE_TOL = 1e-12
+
+# Brent root polish: scipy's ``brentq`` defaults
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps
+_BRENT_MAXITER = 100
 
 
 @unique
@@ -256,18 +260,14 @@ def _validated_grid(grid) -> tuple[float, ...]:
 
 def sweep_alpha(params: SystemParams, pulses: PulsePair | None, grid,
                 source: SweepSource, *, sim: SimConfig | None = None,
-                fixed_factors: InterferenceFactors | None = None,
-                workers: int = 1) -> SweepResult:
+                fixed_factors: InterferenceFactors | None = None) -> SweepResult:
     """Evaluate both directions at every grid overlap fraction.
 
-    The analytic source computes each grid point independently and (with
-    ``workers`` > 1) concurrently; results do not depend on the schedule.
-    The Monte Carlo source hands the whole grid to one campaign so that
-    every point shares the same realizations and fading draws.
+    The analytic source computes each grid point independently.  The Monte
+    Carlo source hands the whole grid to one campaign so that every point
+    shares the same realizations and fading draws.
     """
     alphas = _validated_grid(grid)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     _check_context(source, pulses, sim, fixed_factors)
 
     if source is SweepSource.MONTE_CARLO:
@@ -275,16 +275,9 @@ def sweep_alpha(params: SystemParams, pulses: PulsePair | None, grid,
         rows = [(alpha, _as_link(metrics[2 * i]), _as_link(metrics[2 * i + 1]))
                 for i, alpha in enumerate(alphas)]
     else:
-        def at(alpha: float):
-            return _evaluate_point(params, pulses, fixed_factors, None,
-                                   source, alpha)
-
-        if workers == 1:
-            pairs = [at(a) for a in alphas]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pairs = list(pool.map(at, alphas))
-        rows = [(a, ul, dl) for a, (ul, dl) in zip(alphas, pairs)]
+        rows = [(a, *_evaluate_point(params, pulses, fixed_factors, None,
+                                     source, a))
+                for a in alphas]
 
     return SweepResult(rows=tuple(rows), source=source, params=params,
                        pulses=pulses, sim=sim, fixed_factors=fixed_factors)
@@ -372,10 +365,63 @@ def _local_minima_windows(curves: _CachedCurves,
     return windows[:_MAX_WINDOWS]
 
 
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` bracketed by [a, b], by Brent's method.
+
+    A port of scipy's ``brentq`` (the C ``zeroin``: Brent, *Algorithms for
+    Minimization without Derivatives*, 1973) with its default relative
+    tolerance and iteration limit.  It keeps the same step rules and the
+    same arithmetic order, so it evaluates ``f`` at the same points and
+    returns the same root bits.  Raises RefinementStallError when the
+    iteration limit runs out.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RefinementStallError(
+        "crossing refinement stalled: Brent's method did not converge in "
+        f"{_BRENT_MAXITER} iterations on [{a:.12g}, {b:.12g}]")
+
+
 def _balanced_crossings(curves: _CachedCurves,
                         alphas: tuple[float, ...]) -> list[Crossing]:
-    from scipy.optimize import brentq  # deferred: it also imports scipy.spatial
-
     roots, brackets = _scan(curves, alphas)
     if not roots and not brackets:
         # near-touches hide between grid points; densify around each local
@@ -385,7 +431,7 @@ def _balanced_crossings(curves: _CachedCurves,
             roots.extend(r)
             brackets.extend(b)
     for lo, hi in brackets:
-        root = float(brentq(curves.gap, lo, hi, xtol=1e-13))
+        root = _brent(curves.gap, float(lo), float(hi), xtol=1e-13)
         if not curves.balanced_at(root):
             raise RefinementStallError(
                 "crossing refinement stalled above the requested balance "
@@ -410,18 +456,19 @@ def find_operating_points(sr: SweepResult,
     """Locate the balanced and unbalanced overlap fractions of a sweep.
 
     The balanced point is a root of t_ul(alpha) - t_dl(alpha), bracketed
-    on (a densification of) the sweep grid and polished until
-    |t_ul - t_dl| <= refine_tol * max(t_ul, t_dl); with several crossings
-    the one with the largest total throughput wins and all are reported.
+    on (a densification of) the sweep grid, polished by Brent's method and
+    accepted when |t_ul - t_dl| <= refine_tol * max(t_ul, t_dl); with
+    several crossings the one with the largest total throughput wins and
+    all are reported.
     The unbalanced point maximizes downlink throughput over the grid
     subject to t_ul(alpha) >= t_ul(0) (tiny relative slack); if no grid
     point qualifies it falls back to zero overlap.
 
     Raises NoCrossingError when the throughput gap keeps one sign over the
-    swept range, and RefinementStallError when a bracketed root cannot be
-    polished to refine_tol.  Monte Carlo sweeps are searchable too (fixed
-    seed makes the curves deterministic and continuous in alpha), but every
-    off-grid probe re-runs the campaign.
+    swept range, and RefinementStallError when Brent's method runs out of
+    iterations or a polished root misses refine_tol.  Monte Carlo sweeps
+    are searchable too (fixed seed makes the curves deterministic and
+    continuous in alpha), but every off-grid probe re-runs the campaign.
     """
     if not _MIN_REFINE_TOL <= refine_tol < 1.0:
         raise ValueError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1)")

@@ -1,10 +1,12 @@
 """Config parsing, subcommand outputs, exit codes, and reproducibility."""
 
+import ast
 import csv
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,17 +160,6 @@ class TestCommands:
         assert (d1 / "analytic.csv").read_bytes() == \
             (d2 / "analytic.csv").read_bytes()
 
-    def test_workers_env_never_changes_results(self, tmp_path, monkeypatch):
-        d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        cli.main(["analytic", "--out", str(d1), "--alpha-grid", "0:1:0.25"])
-        monkeypatch.setenv(cli.WORKERS_ENV, "4")
-        cli.main(["analytic", "--out", str(d2), "--alpha-grid", "0:1:0.25"])
-        monkeypatch.setenv(cli.WORKERS_ENV, "not a number")
-        cli.main(["analytic", "--out", str(d3), "--alpha-grid", "0:1:0.25"])
-        ref = (d1 / "analytic.csv").read_bytes()
-        assert (d2 / "analytic.csv").read_bytes() == ref
-        assert (d3 / "analytic.csv").read_bytes() == ref
-
     def test_simulate_matches_campaign(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[sim]\nn_realizations = 5\n")
@@ -276,6 +267,19 @@ class TestCommands:
         assert err["error"] == "refinement"
         assert "stalled" in err["message"]
 
+    def test_brent_stall_exit_code(self, tmp_path, monkeypatch, capsys):
+        # two iterations cannot polish a crossing bracket of the reference
+        # sweep, which takes five
+        monkeypatch.setattr(sweep, "_BRENT_MAXITER", 2)
+        rc = cli.main(["sweep", "--out", str(tmp_path),
+                       "--alpha-grid", "0:1:0.1"])
+        assert rc == EXIT_REFINEMENT
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "refinement"
+        assert "did not converge in 2 iterations" in err["message"]
+
 
 class TestErrorHandling:
     def test_config_error_exit_and_json_line(self, tmp_path, capsys):
@@ -302,13 +306,36 @@ class TestErrorHandling:
                          "--alpha-grid", "0::1"]) == EXIT_CONFIG
 
     def test_import_defers_scipy_spatial(self):
-        # scipy.spatial (and scipy.optimize, which imports it) load only
-        # when a simulation or an operating-point search needs them
+        # scipy.spatial loads only when a simulation needs it
         code = ("import sys, alphaduplex.cli; "
                 "print('scipy.spatial' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_sweep_never_imports_scipy_optimize(self, tmp_path):
+        # the crossing search polishes roots with its own Brent solver
+        code = ("import sys; from alphaduplex import cli; "
+                "rc = cli.main(['sweep', '--alpha-grid', '0:1:0.1', "
+                f"'--out', {str(tmp_path)!r}]); "
+                "print(rc, 'scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "0 False"
+        assert "balanced_alpha=" in (tmp_path / "summary.txt").read_text()
+
+    def test_no_module_imports_scipy_optimize(self):
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{a.name}"
+                                             for a in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("scipy.optimize")
+                               for n in names), path.name
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from alphaduplex import sweep
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import SimConfig, run_campaign
@@ -23,12 +24,14 @@ from alphaduplex.sweep import (
     Crossing,
     NoCrossingError,
     OperatingPoints,
+    RefinementStallError,
     SweepResult,
     SweepSource,
     ThroughputPair,
     compare_duplex_schemes,
     find_operating_points,
     sweep_alpha,
+    _brent,
 )
 
 REF = SystemParams()
@@ -50,6 +53,15 @@ def sr101():
 @pytest.fixture(scope="module")
 def pts101(sr101):
     return find_operating_points(sr101, refine_tol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def sr_general():
+    # the general-exponent sweep of the benchmark: `alphaduplex sweep` with
+    # eta = 3.5 and b_u = 1.2 MHz on the default 0:1:0.1 grid
+    p = dataclasses.replace(REF, eta=3.5, b_u=1.2e6)
+    return sweep_alpha(p, RT_PAIR, np.linspace(0.0, 1.0, 11),
+                       SweepSource.ANALYTIC)
 
 
 class TestSweepAlpha:
@@ -85,12 +97,6 @@ class TestSweepAlpha:
         for (alpha, ul, dl), row in zip(sr101.rows, tab):
             assert row == (alpha, ul.throughput, dl.throughput, ul.ber, dl.ber)
 
-    def test_concurrent_equals_sequential(self):
-        grid = np.linspace(0.0, 1.0, 9)
-        seq = sweep_alpha(REF, RT_PAIR, grid, SweepSource.ANALYTIC, workers=1)
-        par = sweep_alpha(REF, RT_PAIR, grid, SweepSource.ANALYTIC, workers=4)
-        assert seq == par
-
     def test_general_path_taken_off_eta4(self):
         p = dataclasses.replace(REF, eta=3.5)
         sr = sweep_alpha(p, RT_PAIR, [0.3], SweepSource.ANALYTIC)
@@ -119,8 +125,6 @@ class TestSweepAlpha:
             sweep_alpha(REF, RT_PAIR, [0.5, 0.5], SweepSource.ANALYTIC)
         with pytest.raises(ValueError):
             sweep_alpha(REF, RT_PAIR, [0.2, 1.2], SweepSource.ANALYTIC)
-        with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [0.5], SweepSource.ANALYTIC, workers=0)
         with pytest.raises(ValueError):
             sweep_alpha(REF, RT_PAIR, [0.5], SweepSource.MONTE_CARLO)
         with pytest.raises(ValueError):
@@ -314,3 +318,72 @@ class TestComparison:
             float(ln.split("=", 1)[1])
         assert float(lines[0].split("=", 1)[1]) == pytest.approx(
             pts101.balanced_alpha, rel=1e-11)
+
+
+def _solve_recorded(solver, f, a, b, xtol):
+    """(root or raised exception type, every point the solver evaluated)."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        return solver(g, a, b, xtol=xtol), xs
+    except (RuntimeError, ValueError) as exc:  # RefinementStallError too
+        return type(exc), xs
+
+
+class TestBrent:
+    """``_brent`` against its oracle, ``scipy.optimize.brentq``."""
+
+    def _assert_same_as_brentq(self, f, a, b, xtol):
+        root, xs = _solve_recorded(_brent, f, a, b, xtol)
+        ref, ref_xs = _solve_recorded(brentq, f, a, b, xtol)
+        assert xs == ref_xs
+        assert root == ref
+        assert type(root) is type(ref)
+        return root, xs
+
+    def test_matches_brentq_on_crossing_brackets(self, sr101, sr_general,
+                                                 monkeypatch):
+        brackets = []
+
+        def recording(f, a, b, xtol):
+            brackets.append((f, a, b, xtol))
+            return _brent(f, a, b, xtol)
+
+        monkeypatch.setattr(sweep, "_brent", recording)
+        find_operating_points(sr101)
+        find_operating_points(sr_general)
+        assert len(brackets) == 2 + 4
+        for f, a, b, xtol in brackets:
+            root, xs = self._assert_same_as_brentq(f, a, b, xtol)
+            assert a < root < b
+            assert 6 <= len(xs) <= 8
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 10.0, -5.0, 7.0),
+        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 2.0),
+        (lambda x: x * x + 1.0, -1.0, 2.0),
+    ], ids=["cos_x_minus_x", "cubic", "exp", "step", "root_at_a",
+            "unbracketed"])
+    @pytest.mark.parametrize("xtol", [2e-12, 1e-13])
+    def test_matches_brentq(self, f, a, b, xtol):
+        self._assert_same_as_brentq(f, a, b, xtol)
+
+    def test_exhausted_iterations_raise_stall(self):
+        # x**9 is so flat around its root that 100 iterations do not reach
+        # the tolerance
+        f = lambda x: x ** 9  # noqa: E731
+        with pytest.raises(RefinementStallError, match="100 iterations"):
+            _brent(f, -1.0, 4.0, 1e-13)
+        # brentq gives up too, after the same evaluations
+        stalled, xs = _solve_recorded(_brent, f, -1.0, 4.0, 1e-13)
+        failed, ref_xs = _solve_recorded(brentq, f, -1.0, 4.0, 1e-13)
+        assert (stalled, failed) == (RefinementStallError, RuntimeError)
+        assert xs == ref_xs
+        assert len(xs) == 2 + 100
