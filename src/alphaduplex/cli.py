@@ -160,15 +160,20 @@ def parse_alpha_grid(spec: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"alpha_grid: non-numeric field in {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"alpha_grid: non-finite field in {spec!r}")
     if step <= 0.0:
         raise ConfigError("alpha_grid: step must be positive")
     if stop < start:
         raise ConfigError("alpha_grid: stop must be >= start")
+
+    def snap(v):   # endpoint rounding residue back onto the unit interval
+        return 0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v
+
+    if not (0.0 <= snap(start) and snap(stop) <= 1.0):
+        raise ConfigError("alpha_grid: values must lie in [0, 1]")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + i * step for i in range(n)]
-    # snap endpoint rounding residue back onto the unit interval
-    grid = [0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v
-            for v in grid]
+    grid = [snap(start + i * step) for i in range(n)]
     if any(not 0.0 <= v <= 1.0 for v in grid):
         raise ConfigError("alpha_grid: values must lie in [0, 1]")
     return tuple(grid)

@@ -225,17 +225,21 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
     k, n = tagged.size, real.n_bs
     if k == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    g = rng.exponential(size=(k, 2 * n - 1))
-    # row i: every BS index but tagged[i], in order
-    others = np.arange(n - 1) + (np.arange(n - 1) >= tagged[:, None])
+    g = rng.standard_exponential(size=(k, 2 * n - 1))
+    # row i keeps every BS index but tagged[i], in order
+    others = np.ones((k, n), dtype=bool)
+    others[np.arange(k), tagged] = False
+
+    def compact(block):   # (k, n) -> (k, n - 1) without column tagged[i]
+        return block[others].reshape(k, n - 1)
 
     def dist_m(pos):   # np.linalg.norm's sqrt(dx^2 + dy^2), bit for bit
-        dx = pos[:, 0][others] - rx_pos[:, :1]
-        dy = pos[:, 1][others] - rx_pos[:, 1:]
-        return M_PER_KM * np.sqrt(dx * dx + dy * dy)
+        dx = pos[:, 0] - rx_pos[:, :1]
+        dy = pos[:, 1] - rx_pos[:, 1:]
+        return M_PER_KM * compact(np.sqrt(dx * dx + dy * dy))
 
     bs_terms = g[:, 1:n] * dist_m(real.bs_positions) ** -p.eta
-    tx = real.tx_power[others]
+    tx = compact(np.broadcast_to(real.tx_power, (k, n)))
     ue_terms = tx * g[:, n:] * dist_m(real.ue_positions) ** -p.eta
     h0 = g[:, 0].copy()   # a view would keep the whole block alive
     return h0, p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)

@@ -34,6 +34,16 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    script = ("import sys; from alphaduplex import cli; " + code + "; "
+              "print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
 class TestParseConfig:
     def test_empty_document_gives_reference_defaults(self):
         cfg = parse_config("")
@@ -114,7 +124,8 @@ class TestAlphaGrid:
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_rejections(self):
-        for bad in ("0:1", "0:1:0", "1:0:0.1", "0:2:0.5", "a:b:c"):
+        for bad in ("0:1", "0:1:0", "1:0:0.1", "0:2:0.5", "a:b:c",
+                    "nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1.05:0.5"):
             with pytest.raises(ConfigError):
                 parse_alpha_grid(bad)
 
@@ -336,6 +347,44 @@ class TestErrorHandling:
                     continue
                 assert not any(n.startswith("scipy.optimize")
                                for n in names), path.name
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_modules_after("import alphaduplex.cli") == []
+
+    @pytest.mark.parametrize("command", ["sweep", "analytic"])
+    def test_eta4_analysis_loads_no_scipy(self, tmp_path, command):
+        # at eta = 4 the transforms are arctans and gamma(2, .) is elementary
+        run = (f"rc = cli.main([{command!r}, '--alpha-grid', '0:1:0.1', "
+               f"'--out', {str(tmp_path)!r}]); assert rc == 0")
+        assert _scipy_modules_after(run) == []
+
+    def test_general_eta_loads_scipy_special(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\neta = 3.5\n")
+        run = (f"rc = cli.main(['analytic', '--config', {str(ini)!r}, "
+               f"'--alpha-grid', '0:1:0.5', '--out', {str(tmp_path)!r}]); "
+               "assert rc == 0")
+        assert "scipy.special" in _scipy_modules_after(run)
+        assert len(read_csv(tmp_path / "analytic.csv")) == 1 + 2 * 3
+
+    def test_no_module_imports_scipy_at_module_level(self):
+        def module_level(nodes):   # statements that run at import time
+            for node in nodes:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                yield node
+                yield from module_level(ast.iter_child_nodes(node))
+
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in module_level(ast.parse(path.read_text()).body):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), (
+                    f"{path.name}, line {node.lineno}")
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
