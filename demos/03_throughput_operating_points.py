@@ -16,19 +16,13 @@ import numpy as np
 
 from alphaduplex.model import SystemParams
 from alphaduplex.pulse import PulseKind, PulsePair
-from alphaduplex.sweep import (
-    SweepSource,
-    compare_duplex_schemes,
-    find_operating_points,
-    sweep_alpha,
-)
+from alphaduplex.sweep import find_operating_points, sweep_alpha
 
 p = SystemParams()
 pair = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 
-sr = sweep_alpha(p, pair, np.linspace(0.0, 1.0, 101), SweepSource.ANALYTIC)
+sr = sweep_alpha(p, pair, np.linspace(0.0, 1.0, 101))
 points = find_operating_points(sr, refine_tol=1e-9)
-record = compare_duplex_schemes(sr, points)
 
 print(f"{'alpha':>6s} {'t_ul [Mb/s]':>12s} {'t_dl [Mb/s]':>12s}")
 for alpha, t_ul, t_dl, _, _ in sr.table()[::10]:
@@ -44,7 +38,7 @@ for crossing in points.crossings:
     print(f"  crossing at alpha = {crossing.alpha:.6f}, "
           f"total {crossing.total / 1e6:.4f} Mb/s")
 print()
-for line in record.lines():
+for line in points.lines():
     print(line)
 
 try:

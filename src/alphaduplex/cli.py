@@ -30,11 +30,10 @@ from .montecarlo import SimConfig, StarvationError, run_campaign
 from .pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
 from .specfun import QuadratureError
 from .sweep import (
+    _MIN_REFINE_TOL,
     NoCrossingError,
     RefinementStallError,
-    SweepSource,
     _evaluate_point,
-    compare_duplex_schemes,
     find_operating_points,
     sweep_alpha,
 )
@@ -51,6 +50,7 @@ EXIT_REFINEMENT = 6
 BER_TOLERANCE = 0.02   # cross-validation gate, absolute BER units
 
 _DEFAULT_GRID = "0:1:0.1"
+_MAX_GRID_POINTS = 100_001
 _DEFAULT_N_REALIZATIONS = 100
 _DEFAULT_SEED = 1
 
@@ -87,7 +87,7 @@ def _parse_power(raw: str, key: str) -> float:
         if text.lower().endswith("dbm"):
             return dbm_to_watts(float(text[:-3].strip()))
         return _strip_unit(text, {"mw": 1e-3, "w": 1.0})
-    except ValueError:
+    except (ValueError, OverflowError):   # 10 ** x beyond a double
         raise ConfigError(f"{key}: cannot parse power value {raw!r} "
                           "(use W, mW, or dBm)") from None
 
@@ -98,7 +98,7 @@ def _parse_ratio(raw: str, key: str) -> float:
         if text.lower().endswith("db"):
             return db_to_linear(float(text[:-2].strip()))
         return float(text)
-    except ValueError:
+    except (ValueError, OverflowError):   # 10 ** x beyond a double
         raise ConfigError(f"{key}: cannot parse ratio value {raw!r} "
                           "(use a linear value or dB)") from None
 
@@ -172,7 +172,11 @@ def parse_alpha_grid(spec: str) -> tuple[float, ...]:
 
     if not (0.0 <= snap(start) and snap(stop) <= 1.0):
         raise ConfigError("alpha_grid: values must lie in [0, 1]")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9   # overflows to inf, never nan
+    if steps >= _MAX_GRID_POINTS:
+        raise ConfigError(f"alpha_grid: {spec!r} gives more than "
+                          f"{_MAX_GRID_POINTS} points")
+    n = int(math.floor(steps)) + 1
     grid = [snap(start + i * step) for i in range(n)]
     if any(not 0.0 <= v <= 1.0 for v in grid):
         raise ConfigError("alpha_grid: values must lie in [0, 1]")
@@ -254,8 +258,9 @@ def parse_config(text: str) -> RunConfig:
                                          "refine_tol": _parse_float})
     alpha_grid = parse_alpha_grid(sweep_opts.get("alpha_grid", _DEFAULT_GRID))
     refine_tol = sweep_opts.get("refine_tol", 1e-9)
-    if not 1e-12 <= refine_tol < 1.0:
-        raise ConfigError(f"refine_tol must lie in [1e-12, 1), got {refine_tol}")
+    if not _MIN_REFINE_TOL <= refine_tol < 1.0:
+        raise ConfigError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1), "
+                          f"got {refine_tol}")
 
     return RunConfig(params=params, sim=sim, pulses=pulses,
                      alpha_grid=alpha_grid, refine_tol=refine_tol)
@@ -299,8 +304,7 @@ def cmd_factors(cfg: RunConfig) -> int:
 
 
 def _analytic_rows(cfg: RunConfig):
-    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid,
-                     SweepSource.ANALYTIC)
+    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
     for alpha, ul, dl in sr.rows:
         for m in (ul, dl):
             yield (m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
@@ -327,21 +331,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid,
-                     SweepSource.ANALYTIC)
+    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
     csv_path = _out_path(cfg, "sweep.csv")
     _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
                sr.table())
-    lines = []
     try:
-        points = find_operating_points(sr, refine_tol=cfg.refine_tol)
+        lines = find_operating_points(sr, refine_tol=cfg.refine_tol).lines()
     except NoCrossingError:
-        lines.append("no_crossing=true")
-    else:
-        record = compare_duplex_schemes(sr, points)
-        lines.extend(record.lines())
-        for i, crossing in enumerate(points.crossings, start=1):
-            lines.append(f"crossing_{i}_alpha={crossing.alpha:.12g}")
+        lines = ("no_crossing=true",)
     summary_path = _out_path(cfg, "summary.txt")
     _write_lines(summary_path, lines)
     print(f"wrote {csv_path}")
@@ -357,8 +354,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     # rows come as (uplink, downlink) per alpha; one analytic point each
     analytic = []
     for m in metrics[::2]:
-        analytic.extend(_evaluate_point(cfg.params, cfg.pulses, None, None,
-                                        SweepSource.ANALYTIC, m.alpha))
+        analytic.extend(_evaluate_point(cfg.params, cfg.pulses, m.alpha))
     rows = []
     max_gap = {Direction.UPLINK: 0.0, Direction.DOWNLINK: 0.0}
     failed = False
@@ -418,8 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[common],
                    help="Monte Carlo BER/throughput vs overlap")
     sub.add_parser("sweep", parents=[common],
-                   help="analytic sweep plus operating points and "
-                        "scheme comparison")
+                   help="analytic sweep plus operating points")
     sub.add_parser("validate", parents=[common],
                    help="cross-check simulation against the closed forms")
     return parser

@@ -69,8 +69,8 @@ class SystemParams:
     m_symbols: int = 2           # constellation size M
 
     def __post_init__(self) -> None:
-        if not self.eta > 2.0:
-            raise ValueError(f"eta must exceed 2, got {self.eta}")
+        if not 2.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and exceed 2, got {self.eta}")
         positive = {
             "lambda_bs": self.lambda_bs, "rho": self.rho, "p_b": self.p_b,
             "p_u_max": self.p_u_max, "n0": self.n0, "b_u": self.b_u,
@@ -79,8 +79,9 @@ class SystemParams:
             "omega2_d": self.omega2_d,
         }
         for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive, "
+                                 f"got {value}")
         if self.rho > self.p_u_max:
             raise ValueError(
                 f"rho ({self.rho} W) cannot exceed p_u_max ({self.p_u_max} W)")

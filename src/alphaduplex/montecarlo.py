@@ -81,8 +81,9 @@ class SimConfig:
             raise ValueError("n_realizations must be at least 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not 0.0 < self.core_side < self.region_side:
-            raise ValueError("core_side must satisfy 0 < core_side < region_side")
+        if not 0.0 < self.core_side < self.region_side < math.inf:
+            raise ValueError("core_side and region_side must satisfy "
+                             "0 < core_side < region_side < inf")
         if self.candidate_cap < 1:
             raise ValueError("candidate_cap must be at least 1")
 

@@ -1,51 +1,39 @@
 """Overlap-fraction sweeps and operating-point search.
 
-A sweep evaluates both link directions on a grid of overlap fractions,
-through either the closed-form path or the network simulator, and keeps
-enough context (parameters, pulse pair, simulation config) to re-evaluate
-off-grid points later.  That re-evaluation power is what makes the
-operating-point search work: the balanced point, where uplink and downlink
-throughput cross, typically lives in a sliver far narrower than any
-reasonable grid step, so the search densifies around near-touches of the
-two curves until it brackets a sign change and then polishes the root
-with Brent's method (``_brent``, a port of scipy's ``brentq``).
+A sweep evaluates both link directions through the closed forms on a grid
+of overlap fractions, and keeps the parameters and pulse pair so that it
+can re-evaluate off-grid points later.  That re-evaluation power is what
+makes the operating-point search work: the balanced point, where uplink
+and downlink throughput cross, typically lives in a sliver far narrower
+than any reasonable grid step, so the search densifies around near-touches
+of the two curves until it brackets a sign change and then polishes the
+root with Brent's method (``_brent``, a port of scipy's ``brentq``).
 
-Monte Carlo sweeps are deterministic functions of the overlap fraction for
-a fixed seed (geometry and fading are drawn independently of the grid), so
-the same search applies, though each off-grid probe re-runs the campaign.
+The network simulator checks the closed forms point by point
+(``alphaduplex validate``); it does not drive sweeps, because every
+off-grid probe would re-run the whole campaign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, unique
 
 import numpy as np
 
 from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
-from .montecarlo import SimConfig, run_campaign
-from .pulse import (
-    BandPlan,
-    InterferenceFactors,
-    PulsePair,
-    interference_factors,
-    make_pulses,
-)
+from .pulse import BandPlan, PulsePair, interference_factors, make_pulses
 
 __all__ = [
-    "SweepSource",
     "NoCrossingError",
     "RefinementStallError",
     "ThroughputPair",
     "Crossing",
     "SweepResult",
     "OperatingPoints",
-    "ComparisonRecord",
     "sweep_alpha",
     "find_operating_points",
-    "compare_duplex_schemes",
 ]
 
 # densification schedule for the balanced-point search
@@ -57,14 +45,6 @@ _MIN_REFINE_TOL = 1e-12
 # Brent root polish: scipy's ``brentq`` defaults
 _BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps
 _BRENT_MAXITER = 100
-
-
-@unique
-class SweepSource(Enum):
-    """Which evaluation path produced a sweep."""
-
-    ANALYTIC = "analytic"
-    MONTE_CARLO = "monte_carlo"
 
 
 class NoCrossingError(RuntimeError):
@@ -100,23 +80,15 @@ class Crossing:
 class SweepResult:
     """Both-direction metrics over an increasing overlap-fraction grid.
 
-    Carries the inputs needed to re-evaluate the same curves at arbitrary
-    overlap fractions, which the operating-point search relies on.
-    ``fixed_factors`` pins the interference factors to one value for every
-    grid point (analytic source only); otherwise factors follow the pulse
-    pair and band plan at each point.
+    Carries the parameters and pulse pair, so the operating-point search
+    can re-evaluate the same curves at arbitrary overlap fractions.
     """
 
     rows: tuple[tuple[float, LinkMetrics, LinkMetrics], ...]
-    source: SweepSource
     params: SystemParams
-    pulses: PulsePair | None
-    sim: SimConfig | None = None
-    fixed_factors: InterferenceFactors | None = None
+    pulses: PulsePair
 
     def __post_init__(self) -> None:
-        if not isinstance(self.source, SweepSource):
-            raise TypeError("source must be a SweepSource")
         if not self.rows:
             raise ValueError("rows must be nonempty")
         prev = -1.0
@@ -132,16 +104,14 @@ class SweepResult:
             if dl.direction is not Direction.DOWNLINK or dl.alpha != alpha:
                 raise ValueError("second metrics of each row must be "
                                  "downlink at the row's alpha")
-        _check_context(self.source, self.pulses, self.sim, self.fixed_factors)
 
     @property
     def alphas(self) -> tuple[float, ...]:
         return tuple(r[0] for r in self.rows)
 
     def evaluate(self, alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
-        """Both-direction metrics at ``alpha`` under this sweep's context."""
-        return _evaluate_point(self.params, self.pulses, self.fixed_factors,
-                               self.sim, self.source, float(alpha))
+        """Both-direction metrics at ``alpha`` for this sweep's inputs."""
+        return _evaluate_point(self.params, self.pulses, float(alpha))
 
     def table(self) -> tuple[tuple[float, float, float, float, float], ...]:
         """Rows of (alpha, t_ul, t_dl, ber_ul, ber_dl)."""
@@ -157,6 +127,8 @@ class OperatingPoints:
     is the one with the largest total throughput (ties going to the larger
     overlap fraction).  ``unbalanced_alpha`` maximizes downlink throughput
     over the sweep grid subject to no uplink loss relative to zero overlap.
+    The deltas compare full overlap and the balanced point against zero
+    overlap, in percent per direction.
     """
 
     balanced_alpha: float
@@ -175,74 +147,50 @@ class OperatingPoints:
         if not self.crossings:
             raise ValueError("crossings must be nonempty")
 
+    @property
+    def fd_delta(self) -> ThroughputPair:
+        hd, fd = self.hd_baseline, self.fd_point
+        return ThroughputPair(ul=_pct(fd.ul, hd.ul), dl=_pct(fd.dl, hd.dl))
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Throughput of full overlap and the balanced point against none.
-
-    Deltas are percentages relative to the zero-overlap baseline.
-    """
-
-    hd: ThroughputPair
-    fd: ThroughputPair
-    balanced: ThroughputPair
-    balanced_alpha: float
-    unbalanced_alpha: float
-    fd_delta: ThroughputPair
-    balanced_delta: ThroughputPair
+    @property
+    def balanced_delta(self) -> ThroughputPair:
+        hd, bal = self.hd_baseline, self.balanced
+        return ThroughputPair(ul=_pct(bal.ul, hd.ul), dl=_pct(bal.dl, hd.dl))
 
     def lines(self) -> tuple[str, ...]:
-        """Line-oriented key=value rendering of the record."""
-        items = (
+        """Line-oriented key=value rendering, as written to summary.txt."""
+        fd_delta, balanced_delta = self.fd_delta, self.balanced_delta
+        items = [
             ("balanced_alpha", self.balanced_alpha),
             ("unbalanced_alpha", self.unbalanced_alpha),
-            ("hd_ul_bps", self.hd.ul),
-            ("hd_dl_bps", self.hd.dl),
-            ("fd_ul_bps", self.fd.ul),
-            ("fd_dl_bps", self.fd.dl),
+            ("hd_ul_bps", self.hd_baseline.ul),
+            ("hd_dl_bps", self.hd_baseline.dl),
+            ("fd_ul_bps", self.fd_point.ul),
+            ("fd_dl_bps", self.fd_point.dl),
             ("balanced_ul_bps", self.balanced.ul),
             ("balanced_dl_bps", self.balanced.dl),
-            ("fd_delta_ul_pct", self.fd_delta.ul),
-            ("fd_delta_dl_pct", self.fd_delta.dl),
-            ("balanced_delta_ul_pct", self.balanced_delta.ul),
-            ("balanced_delta_dl_pct", self.balanced_delta.dl),
-        )
+            ("fd_delta_ul_pct", fd_delta.ul),
+            ("fd_delta_dl_pct", fd_delta.dl),
+            ("balanced_delta_ul_pct", balanced_delta.ul),
+            ("balanced_delta_dl_pct", balanced_delta.dl),
+        ]
+        items += [(f"crossing_{i}_alpha", c.alpha)
+                  for i, c in enumerate(self.crossings, start=1)]
         return tuple(f"{k}={v:.12g}" for k, v in items)
 
 
-def _check_context(source: SweepSource, pulses: PulsePair | None,
-                   sim: SimConfig | None,
-                   fixed_factors: InterferenceFactors | None) -> None:
-    if source is SweepSource.MONTE_CARLO:
-        if sim is None:
-            raise ValueError("Monte Carlo sweeps require a SimConfig")
-        if fixed_factors is not None:
-            raise ValueError("fixed_factors applies to the analytic source "
-                             "only")
-        if pulses is None:
-            raise ValueError("Monte Carlo sweeps require a pulse pair")
-    elif pulses is None and fixed_factors is None:
-        raise ValueError("analytic sweeps need a pulse pair or "
-                         "fixed_factors")
+def _pct(new: float, base: float) -> float:
+    if base == 0.0:
+        if new == 0.0:
+            return 0.0
+        return math.copysign(math.inf, new)
+    return 100.0 * (new - base) / base
 
 
-def _as_link(m) -> LinkMetrics:
-    return LinkMetrics(direction=m.direction, alpha=m.alpha, ber=m.mean_ber,
-                       bandwidth=m.bandwidth, throughput=m.throughput)
-
-
-def _evaluate_point(params: SystemParams, pulses: PulsePair | None,
-                    fixed_factors: InterferenceFactors | None,
-                    sim: SimConfig | None, source: SweepSource,
+def _evaluate_point(params: SystemParams, pulses: PulsePair,
                     alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
-    if source is SweepSource.MONTE_CARLO:
-        ul, dl = run_campaign(params, sim, [alpha], pulses)
-        return _as_link(ul), _as_link(dl)
-    if fixed_factors is not None:
-        factors = fixed_factors
-    else:
-        plan = BandPlan(params.b_u, params.b_d, alpha)
-        factors = interference_factors(plan, *make_pulses(pulses, plan))
+    plan = BandPlan(params.b_u, params.b_d, alpha)
+    factors = interference_factors(plan, *make_pulses(pulses, plan))
     return (ber_uplink(alpha, factors, params),
             ber_downlink(alpha, factors, params))
 
@@ -258,29 +206,12 @@ def _validated_grid(grid) -> tuple[float, ...]:
     return alphas
 
 
-def sweep_alpha(params: SystemParams, pulses: PulsePair | None, grid,
-                source: SweepSource, *, sim: SimConfig | None = None,
-                fixed_factors: InterferenceFactors | None = None) -> SweepResult:
-    """Evaluate both directions at every grid overlap fraction.
-
-    The analytic source computes each grid point independently.  The Monte
-    Carlo source hands the whole grid to one campaign so that every point
-    shares the same realizations and fading draws.
-    """
-    alphas = _validated_grid(grid)
-    _check_context(source, pulses, sim, fixed_factors)
-
-    if source is SweepSource.MONTE_CARLO:
-        metrics = run_campaign(params, sim, list(alphas), pulses)
-        rows = [(alpha, _as_link(metrics[2 * i]), _as_link(metrics[2 * i + 1]))
-                for i, alpha in enumerate(alphas)]
-    else:
-        rows = [(a, *_evaluate_point(params, pulses, fixed_factors, None,
-                                     source, a))
-                for a in alphas]
-
-    return SweepResult(rows=tuple(rows), source=source, params=params,
-                       pulses=pulses, sim=sim, fixed_factors=fixed_factors)
+def sweep_alpha(params: SystemParams, pulses: PulsePair,
+                grid) -> SweepResult:
+    """Evaluate both directions at every grid overlap fraction."""
+    rows = tuple((a, *_evaluate_point(params, pulses, a))
+                 for a in _validated_grid(grid))
+    return SweepResult(rows=rows, params=params, pulses=pulses)
 
 
 class _CachedCurves:
@@ -466,9 +397,7 @@ def find_operating_points(sr: SweepResult,
 
     Raises NoCrossingError when the throughput gap keeps one sign over the
     swept range, and RefinementStallError when Brent's method runs out of
-    iterations or a polished root misses refine_tol.  Monte Carlo sweeps
-    are searchable too (fixed seed makes the curves deterministic and
-    continuous in alpha), but every off-grid probe re-runs the campaign.
+    iterations or a polished root misses refine_tol.
     """
     if not _MIN_REFINE_TOL <= refine_tol < 1.0:
         raise ValueError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1)")
@@ -500,40 +429,4 @@ def find_operating_points(sr: SweepResult,
         balanced=ThroughputPair(ul=best.t_ul, dl=best.t_dl),
         unbalanced=ThroughputPair(ul=ub_ul.throughput, dl=ub_dl.throughput),
         crossings=tuple(crossings),
-    )
-
-
-def _pct(new: float, base: float) -> float:
-    if base == 0.0:
-        if new == 0.0:
-            return 0.0
-        return math.copysign(math.inf, new)
-    return 100.0 * (new - base) / base
-
-
-def compare_duplex_schemes(sr: SweepResult,
-                           points: OperatingPoints) -> ComparisonRecord:
-    """Percentage throughput deltas of full overlap and the balanced point.
-
-    Both are measured against the zero-overlap baseline, per direction.
-    The sweep is consulted to confirm the points belong to it.
-    """
-    for alpha, ul, dl in sr.rows:
-        if alpha == 0.0 and (ul.throughput != points.hd_baseline.ul
-                             or dl.throughput != points.hd_baseline.dl):
-            raise ValueError("operating points disagree with the sweep at "
-                             "alpha=0")
-        if alpha == 1.0 and (ul.throughput != points.fd_point.ul
-                             or dl.throughput != points.fd_point.dl):
-            raise ValueError("operating points disagree with the sweep at "
-                             "alpha=1")
-    hd, fd, bal = points.hd_baseline, points.fd_point, points.balanced
-    return ComparisonRecord(
-        hd=hd, fd=fd, balanced=bal,
-        balanced_alpha=points.balanced_alpha,
-        unbalanced_alpha=points.unbalanced_alpha,
-        fd_delta=ThroughputPair(ul=_pct(fd.ul, hd.ul),
-                                dl=_pct(fd.dl, hd.dl)),
-        balanced_delta=ThroughputPair(ul=_pct(bal.ul, hd.ul),
-                                      dl=_pct(bal.dl, hd.dl)),
     )

@@ -36,7 +36,7 @@ from alphaduplex.pulse import (
     make_pulses,
 )
 from alphaduplex.specfun import hyp2f1_special, lower_incomplete_gamma
-from alphaduplex.sweep import SweepSource, find_operating_points, sweep_alpha
+from alphaduplex.sweep import find_operating_points, sweep_alpha
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
@@ -154,8 +154,7 @@ def test_c5_analytic_vs_simulation():
 
 @pytest.fixture(scope="module")
 def operating_points():
-    sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 41),
-                     SweepSource.ANALYTIC)
+    sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 41))
     return sr, find_operating_points(sr, refine_tol=1e-9)
 
 
@@ -249,8 +248,7 @@ def test_c8_property_suite():
     notes.append("stderr scaling")
 
     # sweep invariants: increasing grid, balanced point actually balances
-    sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21),
-                     SweepSource.ANALYTIC)
+    sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21))
     ok &= all(b > a for a, b in zip(sr.alphas, sr.alphas[1:]))
     pts = find_operating_points(sr, refine_tol=1e-9)
     ul, dl = sr.evaluate(pts.balanced_alpha)

@@ -116,6 +116,7 @@ class TestAlphaGrid:
     def test_inclusive_expansion(self):
         assert parse_alpha_grid("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert parse_alpha_grid("0.5:0.5:1") == (0.5,)
+        assert len(parse_alpha_grid("0:1:1e-5")) == 100_001   # the bound
 
     def test_endpoint_snapping(self):
         grid = parse_alpha_grid("0:1:0.1")
@@ -125,7 +126,8 @@ class TestAlphaGrid:
 
     def test_rejections(self):
         for bad in ("0:1", "0:1:0", "1:0:0.1", "0:2:0.5", "a:b:c",
-                    "nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1.05:0.5"):
+                    "nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1.05:0.5",
+                    "0:1:5e-324", "0:1:1e-12"):
             with pytest.raises(ConfigError):
                 parse_alpha_grid(bad)
 
@@ -302,6 +304,23 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert "eta" in err["message"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("analytic", "[params]\nb_u = inf Hz\n"),
+        ("analytic", "[params]\np_b = inf W\n"),
+        ("analytic", "[params]\np_b = 4000 dBm\n"),
+        ("analytic", "[params]\neta = inf\n"),
+        ("simulate", "[sim]\nregion_side = inf km\n"),
+    ], ids=["b_u_inf", "p_b_inf", "p_b_overflow", "eta_inf", "region_inf"])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
+                                                 command, config):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(config)
+        rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path),
+                       "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["analytic", "--config", str(tmp_path / "absent.ini"),

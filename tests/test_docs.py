@@ -1,4 +1,5 @@
-"""The demos and the README's Python blocks import only names that exist.
+"""The demos and the README's Python blocks import only names that exist,
+and the README's configuration example parses.
 
 Each source is parsed, not run, so the check is fast and needs neither
 matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
@@ -6,14 +7,18 @@ must name a module the package has and attributes that module defines.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from alphaduplex.cli import parse_config
+
 ROOT = Path(__file__).resolve().parent.parent
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+INI_BLOCK = re.compile(r"^```ini\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 def _sources():
@@ -44,3 +49,13 @@ def test_package_imports_resolve(name, source):
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, (f"{name}, line {node.lineno}: {node.module} "
                              f"has no {', '.join(missing)}")
+
+
+def test_readme_config_example_is_the_reference_scenario():
+    (block,) = INI_BLOCK.findall((ROOT / "README.md").read_text())
+    cfg, ref = parse_config(block), parse_config("")
+    assert dataclasses.replace(cfg, params=ref.params) == ref
+    for field in dataclasses.fields(ref.params):
+        # dBm and dB spellings may differ from the defaults in the last bit
+        assert getattr(cfg.params, field.name) == pytest.approx(
+            getattr(ref.params, field.name), rel=1e-15)

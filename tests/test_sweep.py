@@ -1,4 +1,4 @@
-"""Grid sweeps, balanced/unbalanced point search, and scheme comparison."""
+"""Grid sweeps, balanced/unbalanced point search, and gains over half duplex."""
 
 import dataclasses
 import math
@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from alphaduplex import sweep
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
-from alphaduplex.montecarlo import SimConfig, run_campaign
 from alphaduplex.pulse import (
     BandPlan,
     InterferenceFactors,
@@ -20,15 +19,12 @@ from alphaduplex.pulse import (
     make_pulses,
 )
 from alphaduplex.sweep import (
-    ComparisonRecord,
     Crossing,
     NoCrossingError,
     OperatingPoints,
     RefinementStallError,
     SweepResult,
-    SweepSource,
     ThroughputPair,
-    compare_duplex_schemes,
     find_operating_points,
     sweep_alpha,
     _brent,
@@ -46,8 +42,7 @@ def factors_at(alpha, p=REF, pair=RT_PAIR):
 
 @pytest.fixture(scope="module")
 def sr101():
-    return sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 101),
-                       SweepSource.ANALYTIC)
+    return sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 101))
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +55,12 @@ def sr_general():
     # the general-exponent sweep of the benchmark: `alphaduplex sweep` with
     # eta = 3.5 and b_u = 1.2 MHz on the default 0:1:0.1 grid
     p = dataclasses.replace(REF, eta=3.5, b_u=1.2e6)
-    return sweep_alpha(p, RT_PAIR, np.linspace(0.0, 1.0, 11),
-                       SweepSource.ANALYTIC)
+    return sweep_alpha(p, RT_PAIR, np.linspace(0.0, 1.0, 11))
 
 
 class TestSweepAlpha:
     def test_single_zero_grid_is_hd(self):
-        sr = sweep_alpha(REF, RT_PAIR, [0.0], SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, [0.0])
         assert sr.alphas == (0.0,)
         alpha, ul, dl = sr.rows[0]
         assert ul.bandwidth == REF.b_u
@@ -75,7 +69,7 @@ class TestSweepAlpha:
         assert dl == ber_downlink(0.0, factors_at(0.0), REF)
 
     def test_full_overlap_equal_bands_doubles_access(self):
-        sr = sweep_alpha(REF, RT_PAIR, [1.0], SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, [1.0])
         _, ul, dl = sr.rows[0]
         assert ul.bandwidth == 2.0 * REF.b_u
         assert dl.bandwidth == 2.0 * REF.b_d
@@ -99,56 +93,29 @@ class TestSweepAlpha:
 
     def test_general_path_taken_off_eta4(self):
         p = dataclasses.replace(REF, eta=3.5)
-        sr = sweep_alpha(p, RT_PAIR, [0.3], SweepSource.ANALYTIC)
+        sr = sweep_alpha(p, RT_PAIR, [0.3])
         _, ul, dl = sr.rows[0]
         assert ul == ber_uplink(0.3, factors_at(0.3, p), p)
         assert dl == ber_downlink(0.3, factors_at(0.3, p), p)
 
-    def test_monte_carlo_source_shares_campaign(self):
-        cfg = SimConfig(n_realizations=12, seed=37)
-        grid = [0.0, 0.5, 1.0]
-        sr = sweep_alpha(REF, RT_PAIR, grid, SweepSource.MONTE_CARLO, sim=cfg)
-        metrics = run_campaign(REF, cfg, grid, RT_PAIR)
-        for i, (alpha, ul, dl) in enumerate(sr.rows):
-            assert ul.ber == metrics[2 * i].mean_ber
-            assert dl.ber == metrics[2 * i + 1].mean_ber
-            assert ul.throughput == metrics[2 * i].throughput
-        # off-grid evaluation reuses the same substreams, so re-evaluating
-        # a grid point reproduces it bitwise
-        ul, dl = sr.evaluate(0.5)
-        assert (ul, dl) == sr.rows[1][1:]
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [], SweepSource.ANALYTIC)
+            sweep_alpha(REF, RT_PAIR, [])
         with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [0.5, 0.5], SweepSource.ANALYTIC)
+            sweep_alpha(REF, RT_PAIR, [0.5, 0.5])
         with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [0.2, 1.2], SweepSource.ANALYTIC)
-        with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [0.5], SweepSource.MONTE_CARLO)
-        with pytest.raises(ValueError):
-            sweep_alpha(REF, RT_PAIR, [0.5], SweepSource.MONTE_CARLO,
-                        sim=SimConfig(n_realizations=1, seed=1),
-                        fixed_factors=ZERO)
-        with pytest.raises(ValueError):
-            sweep_alpha(REF, None, [0.5], SweepSource.ANALYTIC)
+            sweep_alpha(REF, RT_PAIR, [0.2, 1.2])
 
     def test_result_structural_validation(self):
-        sr = sweep_alpha(REF, RT_PAIR, [0.2, 0.4], SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, [0.2, 0.4])
         (a0, ul0, dl0), (a1, ul1, dl1) = sr.rows
         with pytest.raises(ValueError):
-            SweepResult(rows=((a0, dl0, ul0),), source=SweepSource.ANALYTIC,
-                        params=REF, pulses=RT_PAIR)
+            SweepResult(rows=((a0, dl0, ul0),), params=REF, pulses=RT_PAIR)
         with pytest.raises(ValueError):
-            SweepResult(rows=((a1, ul1, dl1), (a0, ul0, dl0)),
-                        source=SweepSource.ANALYTIC, params=REF, pulses=RT_PAIR)
+            SweepResult(rows=((a1, ul1, dl1), (a0, ul0, dl0)), params=REF,
+                        pulses=RT_PAIR)
         with pytest.raises(ValueError):
-            SweepResult(rows=((a1, ul0, dl0),), source=SweepSource.ANALYTIC,
-                        params=REF, pulses=RT_PAIR)
-        with pytest.raises(ValueError):
-            SweepResult(rows=sr.rows, source=SweepSource.MONTE_CARLO,
-                        params=REF, pulses=RT_PAIR)
+            SweepResult(rows=((a1, ul0, dl0),), params=REF, pulses=RT_PAIR)
 
 
 class TestOperatingPoints:
@@ -169,8 +136,7 @@ class TestOperatingPoints:
     def test_narrow_sliver_resolved_from_coarse_grid(self):
         # the crossings sit in a window a few 1e-3 wide; a 0.05-step grid
         # never samples it, so only densification can find them
-        sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21),
-                         SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21))
         pts = find_operating_points(sr, refine_tol=1e-9)
         gaps = [abs(ul.throughput - dl.throughput)
                 for _, ul, dl in sr.rows]
@@ -200,22 +166,22 @@ class TestOperatingPoints:
 
     def test_endpoints_evaluated_off_grid(self):
         # grid omits 0 and 1; baseline and full-overlap fields still filled
-        sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.1, 0.9, 17),
-                         SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.1, 0.9, 17))
         pts = find_operating_points(sr)
         ul0, dl0 = sr.evaluate(0.0)
         ul1, dl1 = sr.evaluate(1.0)
         assert pts.hd_baseline == ThroughputPair(ul0.throughput, dl0.throughput)
         assert pts.fd_point == ThroughputPair(ul1.throughput, dl1.throughput)
 
-    def test_no_crossing_raises(self):
+    def test_no_crossing_raises(self, monkeypatch):
+        monkeypatch.setattr(sweep, "interference_factors",
+                            lambda *a, **k: ZERO)
         p0 = dataclasses.replace(REF, beta=0.0)
-        sr = sweep_alpha(p0, None, np.linspace(0.0, 1.0, 11),
-                         SweepSource.ANALYTIC, fixed_factors=ZERO)
+        sr = sweep_alpha(p0, RT_PAIR, np.linspace(0.0, 1.0, 11))
         with pytest.raises(NoCrossingError):
             find_operating_points(sr)
 
-    def test_degenerate_symmetry_returns_largest_alpha(self):
+    def test_degenerate_symmetry_returns_largest_alpha(self, monkeypatch):
         # pinned cross factors and beta=0 make both BERs constants; tuning
         # the BS power equalizes them, so every alpha balances
         base = dataclasses.replace(REF, beta=0.0)
@@ -227,8 +193,9 @@ class TestOperatingPoints:
 
         p_sym = dataclasses.replace(base, p_b=brentq(gap, 0.001, 5.0,
                                                      xtol=1e-12))
-        sr = sweep_alpha(p_sym, None, np.linspace(0.0, 1.0, 11),
-                         SweepSource.ANALYTIC, fixed_factors=ZERO)
+        monkeypatch.setattr(sweep, "interference_factors",
+                            lambda *a, **k: ZERO)
+        sr = sweep_alpha(p_sym, RT_PAIR, np.linspace(0.0, 1.0, 11))
         pts = find_operating_points(sr, refine_tol=1e-6)
         assert pts.balanced_alpha == 1.0
         assert len(pts.crossings) == 1
@@ -252,19 +219,19 @@ class TestOperatingPoints:
 
 
 class TestComparison:
-    def test_duplex_tradeoff_signs(self, sr101, pts101):
-        rec = compare_duplex_schemes(sr101, pts101)
-        assert rec.fd_delta.dl > 0.0
-        assert rec.fd_delta.ul < 0.0
-        assert rec.balanced_delta.ul > 0.0
-        assert rec.balanced_delta.dl > 0.0
+    def test_duplex_tradeoff_signs(self, pts101):
+        assert pts101.fd_delta.dl > 0.0
+        assert pts101.fd_delta.ul < 0.0
+        assert pts101.balanced_delta.ul > 0.0
+        assert pts101.balanced_delta.dl > 0.0
 
-    def test_pure_bandwidth_deltas_with_zero_factors(self):
+    def test_pure_bandwidth_deltas_with_zero_factors(self, monkeypatch):
         # cross factors pinned to zero and no residual loop interference:
         # BER is alpha-independent, so deltas reduce to bandwidth ratios
+        monkeypatch.setattr(sweep, "interference_factors",
+                            lambda *a, **k: ZERO)
         p = dataclasses.replace(REF, beta=0.0, b_u=2e6, b_d=1e6)
-        sr = sweep_alpha(p, None, [0.0, 0.5, 1.0], SweepSource.ANALYTIC,
-                         fixed_factors=ZERO)
+        sr = sweep_alpha(p, RT_PAIR, [0.0, 0.5, 1.0])
         rows = {alpha: (ul, dl) for alpha, ul, dl in sr.rows}
         assert rows[0.0][0].ber == rows[1.0][0].ber
         assert rows[0.0][1].ber == rows[1.0][1].ber
@@ -278,34 +245,24 @@ class TestComparison:
             balanced=ThroughputPair(mid[0].throughput, mid[1].throughput),
             unbalanced=ThroughputPair(mid[0].throughput, mid[1].throughput),
             crossings=(Crossing(0.5, mid[0].throughput, mid[1].throughput),))
-        rec = compare_duplex_schemes(sr, pts)
-        assert rec.fd_delta.ul == pytest.approx(100.0 * 1e6 / 2e6, rel=1e-12)
-        assert rec.fd_delta.dl == pytest.approx(100.0 * 1e6 / 1e6, rel=1e-12)
-        assert rec.balanced_delta.ul == pytest.approx(25.0, rel=1e-12)
-        assert rec.balanced_delta.dl == pytest.approx(50.0, rel=1e-12)
+        assert pts.fd_delta.ul == pytest.approx(100.0 * 1e6 / 2e6, rel=1e-12)
+        assert pts.fd_delta.dl == pytest.approx(100.0 * 1e6 / 1e6, rel=1e-12)
+        assert pts.balanced_delta.ul == pytest.approx(25.0, rel=1e-12)
+        assert pts.balanced_delta.dl == pytest.approx(50.0, rel=1e-12)
 
     def test_identical_points_give_zero_deltas(self):
-        sr = sweep_alpha(REF, RT_PAIR, [0.0], SweepSource.ANALYTIC)
+        sr = sweep_alpha(REF, RT_PAIR, [0.0])
         _, ul, dl = sr.rows[0]
         hd = ThroughputPair(ul.throughput, dl.throughput)
         pts = OperatingPoints(balanced_alpha=0.0, unbalanced_alpha=0.0,
                               hd_baseline=hd, fd_point=hd, balanced=hd,
                               unbalanced=hd,
                               crossings=(Crossing(0.0, hd.ul, hd.dl),))
-        rec = compare_duplex_schemes(sr, pts)
-        assert rec.fd_delta == ThroughputPair(0.0, 0.0)
-        assert rec.balanced_delta == ThroughputPair(0.0, 0.0)
+        assert pts.fd_delta == ThroughputPair(0.0, 0.0)
+        assert pts.balanced_delta == ThroughputPair(0.0, 0.0)
 
-    def test_inconsistent_points_rejected(self, sr101, pts101):
-        bad = dataclasses.replace(
-            pts101, hd_baseline=ThroughputPair(pts101.hd_baseline.ul * 1.01,
-                                               pts101.hd_baseline.dl))
-        with pytest.raises(ValueError):
-            compare_duplex_schemes(sr101, bad)
-
-    def test_key_value_lines(self, sr101, pts101):
-        rec = compare_duplex_schemes(sr101, pts101)
-        lines = rec.lines()
+    def test_key_value_lines(self, pts101):
+        lines = pts101.lines()
         keys = [ln.split("=", 1)[0] for ln in lines]
         assert keys == [
             "balanced_alpha", "unbalanced_alpha",
@@ -313,11 +270,14 @@ class TestComparison:
             "balanced_ul_bps", "balanced_dl_bps",
             "fd_delta_ul_pct", "fd_delta_dl_pct",
             "balanced_delta_ul_pct", "balanced_delta_dl_pct",
+            "crossing_1_alpha", "crossing_2_alpha",
         ]
         for ln in lines:
             float(ln.split("=", 1)[1])
         assert float(lines[0].split("=", 1)[1]) == pytest.approx(
             pts101.balanced_alpha, rel=1e-11)
+        assert lines[-2:] == tuple(f"crossing_{i}_alpha={c.alpha:.12g}" for i, c
+                                   in enumerate(pts101.crossings, start=1))
 
 
 def _solve_recorded(solver, f, a, b, xtol):
