@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .model import Direction, SystemParams, db_to_linear, dbm_to_watts
 from .montecarlo import SimConfig, StarvationError, run_campaign
-from .pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
+from .pulse import PulseKind, PulsePair, interference_factor_grid
 from .specfun import QuadratureError
 from .sweep import (
     _MIN_REFINE_TOL,
@@ -292,11 +292,10 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_factors(cfg: RunConfig) -> int:
-    rows = []
-    for alpha in cfg.alpha_grid:
-        plan = BandPlan(cfg.params.b_u, cfg.params.b_d, alpha)
-        fac = interference_factors(plan, *make_pulses(cfg.pulses, plan))
-        rows.append((alpha, fac.i_du_sq, fac.i_ud_sq))
+    factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
+                                       cfg.pulses, cfg.alpha_grid)
+    rows = [(alpha, fac.i_du_sq, fac.i_ud_sq)
+            for alpha, fac in zip(cfg.alpha_grid, factors)]
     path = _out_path(cfg, "factors.csv")
     _write_csv(path, ("alpha", "i_du_sq", "i_ud_sq"), rows)
     print(f"wrote {path}")

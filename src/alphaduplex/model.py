@@ -85,6 +85,13 @@ class SystemParams:
         if self.rho > self.p_u_max:
             raise ValueError(
                 f"rho ({self.rho} W) cannot exceed p_u_max ({self.p_u_max} W)")
+        # the interference factors integrate about twice this ratio in lobes
+        if max(self.b_u, self.b_d) > 1e3 * min(self.b_u, self.b_d):
+            raise ValueError("b_u and b_d must lie within a factor 1000 of "
+                             f"each other, got {self.b_u} and {self.b_d} Hz")
+        if max(self.omega1_u, self.omega1_d) > 1.0:
+            raise ValueError("omega1_u and omega1_d scale a BER and must not "
+                             f"exceed 1, got {self.omega1_u}, {self.omega1_d}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.m_symbols < 2:

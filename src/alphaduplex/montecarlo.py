@@ -37,7 +37,7 @@ from .model import (
     max_inversion_radius_m,
     noise_variance,
 )
-from .pulse import BandPlan, InterferenceFactors, PulsePair, interference_factors, make_pulses
+from .pulse import BandPlan, InterferenceFactors, PulsePair, interference_factor_grid
 from .specfun import erfc
 
 __all__ = [
@@ -331,11 +331,7 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {a}")
 
-    facs = []
-    for a in alphas:
-        plan = BandPlan(p.b_u, p.b_d, a)
-        pulse_u, pulse_d = make_pulses(pulses, plan)
-        facs.append(interference_factors(plan, pulse_u, pulse_d))
+    facs = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
 
     ul_parts = []
     dl_parts = []

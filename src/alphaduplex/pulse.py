@@ -12,6 +12,10 @@ interference factor
 
 Both spectra are normalized to unit energy inside their own allocated band,
 which pins the co-channel factors I_u->u and I_d->d at exactly 1.
+
+One kernel integrates the lobes between the shifted spectrum's nulls, for
+every alpha asked for at once, in shared Gauss-Kronrod seed passes; each
+factor stays bit-equal to integrating its lobes one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ from functools import lru_cache
 import numpy as np
 
 from .model import Direction
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad
+from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad, quad_intervals
+
+# Lobes per integrand call, 15 Kronrod nodes on each of their 8 seed panels:
+# alphas are integrated in groups of about this many lobes (an alpha with
+# more goes alone), which bounds the memory of one call.
+_LOBES_PER_CALL = 128
 
 
 class PulseKind(enum.Enum):
@@ -140,6 +149,13 @@ def _peak(pulse: PulseShape) -> float:
     return math.sqrt(2.0 / (pulse.allocated_band * _lobe_energy(pulse.kind)))
 
 
+def _sinc_power(peak, band, squared, f):
+    # peak * sinc(2 f / band)^m with m = 2 where ``squared``, else 1; the
+    # arguments broadcast, one pulse per row in the batched factor kernel
+    base = np.sinc(2.0 * f / band)
+    return peak * np.where(squared, base * base, base)
+
+
 def spectrum(pulse: PulseShape, f):
     """Pulse spectrum S(f), real-valued and even; scalar or ndarray ``f``.
 
@@ -150,11 +166,8 @@ def spectrum(pulse: PulseShape, f):
     f_arr = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f_arr)):
         raise ValueError("f must be finite")
-    x = 2.0 * f_arr / pulse.allocated_band
-    base = np.sinc(x)
-    if pulse.kind is PulseKind.TRIANGULAR:
-        base = base * base
-    out = _peak(pulse) * base
+    out = _sinc_power(_peak(pulse), pulse.allocated_band,
+                      pulse.kind is PulseKind.TRIANGULAR, f_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -166,21 +179,8 @@ def make_pulses(pair: PulsePair, plan: BandPlan) -> tuple[PulseShape, PulseShape
     )
 
 
-def effective_interference_factor(
-        victim: Direction, aggressor: Direction, plan: BandPlan,
-        pulse_u: PulseShape, pulse_d: PulseShape,
-        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[complex, float]:
-    """Correlation I_aggressor->victim and its squared magnitude.
-
-    Integrates the aggressor spectrum, shifted by the carrier offset, against
-    the victim matched filter across the victim's accessible band.  The
-    integrand is subdivided at the shifted spectrum's nulls: between nulls a
-    sinc product is a single smooth lobe, whereas one adaptive pass over the
-    whole band can stall on the oscillation.
-
-    Returns (I, |I|^2).  I is real for these real even spectra but typed
-    complex, since the correlation is complex for general pulses.
-    """
+def _check_pulses(plan: BandPlan, pulse_u: PulseShape,
+                  pulse_d: PulseShape) -> None:
     for pulse, direction in ((pulse_u, Direction.UPLINK),
                              (pulse_d, Direction.DOWNLINK)):
         expected = plan.accessible_bandwidth(direction)
@@ -189,9 +189,13 @@ def effective_interference_factor(
                 f"{direction.value} pulse allocated_band {pulse.allocated_band} "
                 f"does not match plan bandwidth {expected}")
 
-    if victim is aggressor:
-        return complex(1.0), 1.0
 
+def _lobes(victim: Direction, plan: BandPlan, pulse_u: PulseShape,
+           pulse_d: PulseShape) -> list[tuple]:
+    # One row (lo, hi, n_lobes, offset, then peak, band and sinc^2 flag of
+    # the aggressor b and of the victim a) per lobe of I_b->a: the victim
+    # band is cut at the nulls of the shifted aggressor spectrum, since one
+    # adaptive pass over the whole band can stall on the oscillation.
     s_victim = pulse_u if victim is Direction.UPLINK else pulse_d
     s_aggr = pulse_d if victim is Direction.UPLINK else pulse_u
     # shift of the aggressor spectrum as seen in victim baseband: f_b - f_a
@@ -203,28 +207,79 @@ def effective_interference_factor(
     edges = {-half, half}
     # nulls of the shifted aggressor spectrum: offset + k * W_b/2, k != 0
     half_b = 0.5 * s_aggr.allocated_band
-    k_lo = math.ceil((-half - offset) / half_b)
-    k_hi = math.floor((half - offset) / half_b)
-    for k in range(k_lo, k_hi + 1):
-        if k == 0:
-            continue  # the spectrum peaks at the carrier, no null there
-        null = offset + k * half_b
-        if -half < null < half:
-            edges.add(null)
-    breakpoints = sorted(edges)
+    ks = range(math.ceil((-half - offset) / half_b),
+               math.floor((half - offset) / half_b) + 1)
+    nulls = (offset + k * half_b for k in ks if k != 0)  # k = 0: the peak
+    edges.update(null for null in nulls if -half < null < half)
+    bps = sorted(edges)
+    params = (max(1, len(bps) - 1), offset,
+              _peak(s_aggr), s_aggr.allocated_band,
+              s_aggr.kind is PulseKind.TRIANGULAR,
+              _peak(s_victim), s_victim.allocated_band,
+              s_victim.kind is PulseKind.TRIANGULAR)
+    return [(lo, hi, *params) for lo, hi in zip(bps[:-1], bps[1:])]
 
-    def integrand(f):
-        return spectrum(s_aggr, f - offset) * spectrum(s_victim, f)
 
-    panel_spec = QuadratureSpec(
-        rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol / max(1, len(breakpoints) - 1),
-        max_subdivisions=spec.max_subdivisions)
-    total = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        total += adaptive_quad(integrand, lo, hi, panel_spec)
-    squared = min(max(total * total, 0.0), 1.0)
-    return complex(total), squared
+def _correlations(cases, spec: QuadratureSpec) -> list[tuple[float, float]]:
+    # (I_d->u, I_u->d) per (plan, pulse_u, pulse_d) case, bit-equal to
+    # integrating the lobes one at a time: each lobe gets abs_tol / n_lobes,
+    # and the lobes are summed in band order as Python floats.  The cases
+    # are integrated in groups of about _LOBES_PER_CALL lobes.
+    totals, rows, owner = [], [], []
+    for i, case in enumerate(cases):
+        _check_pulses(*case)
+        totals.append([0.0, 0.0])
+        for k, victim in enumerate(Direction):
+            lobes = _lobes(victim, *case)
+            rows += lobes
+            owner += [(i, k)] * len(lobes)
+        if len(rows) >= _LOBES_PER_CALL or i == len(cases) - 1:
+            for (j, k), value in zip(owner, _integrate_lobes(rows, spec)):
+                totals[j][k] += value
+            rows, owner = [], []
+    return [tuple(t) for t in totals]
+
+
+def _integrate_lobes(rows, spec: QuadratureSpec) -> list[float]:
+    table = np.array(rows, dtype=float)
+    lo, hi, n_lobes = table[:, :3].T
+
+    def integrand(sel):
+        offset, peak_b, band_b, sq_b, peak_a, band_a, sq_a = (
+            table[sel, 3:].T[..., None])
+
+        def f(x):
+            x = x.reshape(len(offset), -1)
+            return (_sinc_power(peak_b, band_b, sq_b != 0.0, x - offset)
+                    * _sinc_power(peak_a, band_a, sq_a != 0.0, x)).ravel()
+        return f
+
+    return quad_intervals(integrand, lo, hi, spec.abs_tol / n_lobes, spec)
+
+
+def _squared(total: float) -> float:
+    return min(max(total * total, 0.0), 1.0)
+
+
+def effective_interference_factor(
+        victim: Direction, aggressor: Direction, plan: BandPlan,
+        pulse_u: PulseShape, pulse_d: PulseShape,
+        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[complex, float]:
+    """Correlation I_aggressor->victim and its squared magnitude.
+
+    Integrates the aggressor spectrum, shifted by the carrier offset, against
+    the victim matched filter across the victim's accessible band, lobe by
+    lobe between the shifted spectrum's nulls.
+
+    Returns (I, |I|^2).  I is real for these real even spectra but typed
+    complex, since the correlation is complex for general pulses.
+    """
+    _check_pulses(plan, pulse_u, pulse_d)
+    if victim is aggressor:
+        return complex(1.0), 1.0
+    (du, ud), = _correlations([(plan, pulse_u, pulse_d)], spec)
+    total = du if victim is Direction.UPLINK else ud
+    return complex(total), _squared(total)
 
 
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,
@@ -232,8 +287,15 @@ def interference_factors(plan: BandPlan, pulse_u: PulseShape,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE
                          ) -> InterferenceFactors:
     """All squared factors at the plan's alpha (SI tied to the cross factors)."""
-    _, i_du_sq = effective_interference_factor(
-        Direction.UPLINK, Direction.DOWNLINK, plan, pulse_u, pulse_d, spec)
-    _, i_ud_sq = effective_interference_factor(
-        Direction.DOWNLINK, Direction.UPLINK, plan, pulse_u, pulse_d, spec)
-    return InterferenceFactors.from_cross(i_du_sq, i_ud_sq)
+    (du, ud), = _correlations([(plan, pulse_u, pulse_d)], spec)
+    return InterferenceFactors.from_cross(_squared(du), _squared(ud))
+
+
+def interference_factor_grid(b_u: float, b_d: float, pair: PulsePair, alphas,
+                             spec: QuadratureSpec = DEFAULT_QUADRATURE
+                             ) -> list[InterferenceFactors]:
+    """``interference_factors`` at every alpha, bit for bit, in one batch."""
+    plans = [BandPlan(b_u, b_d, alpha) for alpha in alphas]
+    return [InterferenceFactors.from_cross(_squared(du), _squared(ud))
+            for du, ud in _correlations(
+                [(p, *make_pulses(pair, p)) for p in plans], spec)]

@@ -149,21 +149,37 @@ _G_WEIGHTS = np.zeros_like(_K_WEIGHTS)
 _G_WEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
 
-def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Kronrod estimates of m panels [lo_j, hi_j] from one call of f.
+# Panels of the first pass over an interval: several, so a narrow feature
+# cannot slip between the nodes of a single rule with a tiny error estimate.
+_N_SEED = 8
 
-    ``f`` sees the m x 15 Kronrod nodes as one flat array of points and
-    returns values of shape (..., 15 m).  Returns the 15-point estimates and
-    their error estimates, each of shape (..., m).
+
+def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod estimates of the panels [lo, hi] from one call of f.
+
+    ``lo`` and ``hi`` have any shape s.  ``f`` sees the Kronrod nodes as one
+    flat array of points (C order of s + (15,)) and returns values of shape
+    (..., k).  Returns the 15-point estimates and their error estimates,
+    each of shape (...) + s.  The rule is applied to stacked rows of 15, so
+    a panel's bits do not depend on the panels evaluated with it.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    y = np.asarray(f((mid[:, None] + half[:, None] * _K_NODES).ravel()),
+    y = np.asarray(f((mid[..., None] + half[..., None] * _K_NODES).ravel()),
                    dtype=float)
-    y = y.reshape(y.shape[:-1] + (len(lo), len(_K_NODES)))
+    y = y.reshape(y.shape[:-1] + lo.shape + _K_NODES.shape)
     kron = half * (y @ _K_WEIGHTS)
     gauss = half * (y @ _G_WEIGHTS)
     return kron, np.abs(kron - gauss)
+
+
+def _seed_pass(f: Callable, a: np.ndarray, b: np.ndarray):
+    """Edges, estimates and errors of the first pass over arrays [a, b]."""
+    # np.linspace(a, b, _N_SEED + 1) bit for bit, without its overhead
+    edges = (np.arange(_N_SEED + 1.0) * ((b - a) / _N_SEED)[..., None]
+             + a[..., None])
+    edges[..., -1] = b
+    return (edges, *_gk15_panels(f, edges[..., :-1], edges[..., 1:]))
 
 
 def adaptive_quad(f: Callable, a: float, b: float,
@@ -180,25 +196,19 @@ def adaptive_quad(f: Callable, a: float, b: float,
     QuadratureError once ``spec.max_subdivisions`` bisections are spent
     without converging.
     """
-    # Seed with several panels so a feature much narrower than (b - a)
-    # cannot slip between the nodes of a single rule with a tiny error
-    # estimate.
-    n_init = 8
-    # np.linspace(a, b, n_init + 1) bit for bit, without its overhead
-    edges = np.arange(n_init + 1.0) * ((b - a) / n_init) + a
-    edges[-1] = b
-    vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
+    edges, vals, errs = _seed_pass(f, np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
     total_val = vals.sum(axis=-1)
     total_err = errs.sum(axis=-1)
-    worst = errs.reshape(-1, n_init).max(axis=0).tolist()
+    worst = errs.reshape(-1, _N_SEED).max(axis=0).tolist()
     heap = [(-worst[i], i, edges[i], edges[i + 1], vals[..., i], errs[..., i])
-            for i in range(n_init)]
+            for i in range(_N_SEED)]
     heapq.heapify(heap)
 
-    n = n_init
+    n = _N_SEED
     while not (total_err <= np.maximum(
             spec.abs_tol, spec.rel_tol * np.abs(total_val))).all():
-        if n == n_init + spec.max_subdivisions:
+        if n == _N_SEED + spec.max_subdivisions:
             raise QuadratureError(
                 f"no convergence after {spec.max_subdivisions} subdivisions "
                 f"(worst error {np.max(total_err):.3e})")
@@ -213,6 +223,28 @@ def adaptive_quad(f: Callable, a: float, b: float,
                                   vals[..., j], errs[..., j]))
         n += 1
     return total_val if total_val.ndim else float(total_val)
+
+
+def quad_intervals(integrand: Callable, a: np.ndarray, b: np.ndarray,
+                   abs_tol: np.ndarray,
+                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list[float]:
+    """``adaptive_quad`` of one integrand per interval [a[j], b[j]], bit for bit.
+
+    ``integrand(rows)``, for a slice of rows, maps points in equal groups per
+    interval (row order) to values.  The seed passes of all intervals are
+    one call; only an interval that misses its tolerance
+    max(abs_tol[j], spec.rel_tol * |value|) there goes on to adaptive_quad.
+    Returns floats, in row order.
+    """
+    _, vals, errs = _seed_pass(integrand(slice(None)), a, b)
+    value = vals.sum(axis=-1)
+    ok = errs.sum(axis=-1) <= np.maximum(abs_tol, spec.rel_tol * np.abs(value))
+    out = value.tolist()
+    for j in np.flatnonzero(~ok):
+        out[j] = adaptive_quad(integrand(slice(j, j + 1)), a[j], b[j],
+                               QuadratureSpec(spec.rel_tol, abs_tol[j],
+                                              spec.max_subdivisions))
+    return out
 
 
 def integrate_semi_infinite(f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
-from .pulse import BandPlan, PulsePair, interference_factors, make_pulses
+from .pulse import (BandPlan, PulsePair, interference_factor_grid,
+                    interference_factors, make_pulses)
 
 __all__ = [
     "NoCrossingError",
@@ -209,8 +210,10 @@ def _validated_grid(grid) -> tuple[float, ...]:
 def sweep_alpha(params: SystemParams, pulses: PulsePair,
                 grid) -> SweepResult:
     """Evaluate both directions at every grid overlap fraction."""
-    rows = tuple((a, *_evaluate_point(params, pulses, a))
-                 for a in _validated_grid(grid))
+    alphas = _validated_grid(grid)
+    factors = interference_factor_grid(params.b_u, params.b_d, pulses, alphas)
+    rows = tuple((a, ber_uplink(a, f, params), ber_downlink(a, f, params))
+                 for a, f in zip(alphas, factors))
     return SweepResult(rows=rows, params=params, pulses=pulses)
 
 

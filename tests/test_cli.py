@@ -322,6 +322,33 @@ class TestErrorHandling:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "config"
 
+    @pytest.mark.parametrize("config", [
+        "[params]\nb_d = 1e12 Hz\n",
+        "[params]\nb_d = 1 Hz\n",
+        "[params]\nomega1_u = 2\n",
+        "[params]\nomega1_d = 1.5\n",
+    ], ids=["band_ratio_high", "band_ratio_low", "omega1_u", "omega1_d"])
+    def test_out_of_range_params_are_config_errors(self, tmp_path, capsys,
+                                                   config):
+        # a huge band ratio used to hang in the factor integrals, and
+        # omega1 > 1 ended in a traceback from a BER above 1
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(config)
+        rc = cli.main(["analytic", "--config", str(ini), "--out",
+                       str(tmp_path), "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config"
+        assert not (tmp_path / "analytic.csv").exists()
+
+    def test_band_ratio_bound_is_inclusive(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\nb_d = 1000 MHz\n")
+        rc = cli.main(["analytic", "--config", str(ini), "--out",
+                       str(tmp_path), "--alpha-grid", "0:1:0.5"])
+        assert rc == 0
+        assert len((tmp_path / "analytic.csv").read_text().splitlines()) == 7
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["analytic", "--config", str(tmp_path / "absent.ini"),
                        "--out", str(tmp_path)])

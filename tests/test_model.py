@@ -64,10 +64,22 @@ class TestSystemParams:
         dict(p_b=-5.0),
         dict(n0=0.0),
         dict(b_u=-1e6),
+        dict(omega1_u=2.0),
+        dict(omega1_d=1.0 + 1e-12),
+        dict(omega1_u=0.0),
+        dict(b_d=1e12),
+        dict(b_d=1.0),
+        dict(b_u=999.0, b_d=1e6),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             SystemParams(**bad)
+
+    def test_closed_bounds_accepted(self):
+        # BER scale omega1 up to 1, bandwidth ratio up to 1000 either way
+        assert SystemParams(omega1_u=1.0, omega1_d=1.0).omega1_d == 1.0
+        assert SystemParams(b_u=1e3, b_d=1e6).b_u == 1e3
+        assert SystemParams(b_u=1e9, b_d=1e6).b_u == 1e9
 
     def test_beta_zero_allowed(self):
         assert SystemParams(beta=0.0).beta == 0.0

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mc_oracles import factor_per_lobe, factors_per_lobe
+
+from alphaduplex import pulse, specfun
 from alphaduplex.model import Direction
 from alphaduplex.pulse import (
     BandPlan,
@@ -14,11 +17,12 @@ from alphaduplex.pulse import (
     PulseShape,
     carrier_offset,
     effective_interference_factor,
+    interference_factor_grid,
     interference_factors,
     make_pulses,
     spectrum,
 )
-from alphaduplex.specfun import adaptive_quad
+from alphaduplex.specfun import QuadratureSpec, adaptive_quad
 
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 
@@ -239,3 +243,109 @@ class TestEffectiveFactor:
         with pytest.raises(ValueError):
             effective_interference_factor(
                 Direction.UPLINK, Direction.DOWNLINK, plan, pu, pd)
+
+
+ALL_PAIRS = [PulsePair(u, d) for u in PulseKind for d in PulseKind]
+FINE = np.linspace(0.0, 1.0, 101).tolist()
+COARSE = np.linspace(0.0, 1.0, 21).tolist()
+# (b_u / b_d, alphas): about 2 b_d / b_u lobes per alpha at the small
+# ratios, so the oracle gets fewer alphas where it is slow
+MATRIX = [(1e-3, [0.0, 0.37, 1.0]), (0.02, COARSE), (0.5, FINE), (1.0, FINE),
+          (1.2, FINE), (50.0, COARSE), (1e3, [0.0, 0.37, 1.0])]
+
+
+class TestBatchedFactors:
+    """The batched kernel against the per-lobe oracle, bit for bit."""
+
+    @staticmethod
+    def cases(pair, ratio, alphas):
+        for alpha in alphas:
+            plan = BandPlan(1e6 * ratio, 1e6, alpha)
+            yield plan, make_pulses(pair, plan)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS,
+                             ids=lambda p: f"{p.uplink.value}-{p.downlink.value}")
+    def test_grid_bit_equal_to_per_lobe_oracle(self, pair):
+        for ratio, alphas in MATRIX:
+            grid = interference_factor_grid(1e6 * ratio, 1e6, pair, alphas)
+            assert len(grid) == len(alphas)
+            for fac, (plan, pulses) in zip(grid, self.cases(pair, ratio, alphas)):
+                assert fac == factors_per_lobe(plan, *pulses), (ratio, plan.alpha)
+                assert interference_factors(plan, *pulses) == fac
+
+    def test_signed_correlation_bit_equal(self):
+        for plan, pulses in self.cases(RT_PAIR, 0.5, COARSE):
+            for victim, aggressor in ((Direction.UPLINK, Direction.DOWNLINK),
+                                      (Direction.DOWNLINK, Direction.UPLINK)):
+                val, sq = effective_interference_factor(
+                    victim, aggressor, plan, *pulses)
+                ref = factor_per_lobe(victim, plan, *pulses)
+                assert val == complex(ref)
+                assert sq == min(ref * ref, 1.0)
+
+    @staticmethod
+    def count_integrand_calls(monkeypatch):
+        # the kernel evaluates the aggressor and the victim spectrum once
+        # per integrand call; record the node array shape of each call
+        calls = []
+        real = pulse._sinc_power
+
+        def counted(*args):
+            calls.append(np.shape(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(pulse, "_sinc_power", counted)
+        return calls
+
+    def n_lobes(self, pair, ratio, alphas):
+        return [sum(len(pulse._lobes(d, plan, *pulses)) for d in Direction)
+                for plan, pulses in self.cases(pair, ratio, alphas)]
+
+    def test_whole_grid_is_one_integrand_call(self, monkeypatch):
+        monkeypatch.setattr(pulse, "_LOBES_PER_CALL", 10 ** 6)
+        calls = self.count_integrand_calls(monkeypatch)
+        interference_factor_grid(1e6, 1e6, RT_PAIR, COARSE)
+        n_lobes = sum(self.n_lobes(RT_PAIR, 1.0, COARSE))
+        assert calls == [(n_lobes, 8 * 15)] * 2
+
+    def test_alphas_grouped_under_lobe_budget(self, monkeypatch):
+        # a group closes once it holds 10 lobes: at ratio 1 that takes two
+        # or three alphas, at ratio 0.02 every alpha goes alone
+        monkeypatch.setattr(pulse, "_LOBES_PER_CALL", 10)
+        for ratio in (1.0, 0.02):
+            expected = [factors_per_lobe(plan, *pulses)
+                        for plan, pulses in self.cases(RT_PAIR, ratio, COARSE)]
+            calls = self.count_integrand_calls(monkeypatch)
+            assert interference_factor_grid(
+                1e6 * ratio, 1e6, RT_PAIR, COARSE) == expected
+            groups, pending = [], 0
+            for n in self.n_lobes(RT_PAIR, ratio, COARSE):
+                pending += n
+                if pending >= 10:
+                    groups.append(pending)
+                    pending = 0
+            groups += [pending] if pending else []
+            # aggressor and victim spectrum, once each per group
+            assert calls == [(n, 8 * 15) for n in groups for _ in range(2)]
+
+    def test_lobes_missing_tolerance_fall_back(self, monkeypatch):
+        # a tolerance near machine precision: a few lobes miss it in the
+        # seed pass and go on to adaptive_quad's bisection
+        pair = PulsePair(PulseKind.RECTANGULAR, PulseKind.RECTANGULAR)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-30)
+        alphas = np.linspace(0.0, 1.0, 11).tolist()
+        expected = [factors_per_lobe(plan, *pulses, spec)
+                    for plan, pulses in self.cases(pair, 0.1, alphas)]
+        fallbacks = []
+        real = specfun.adaptive_quad
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "adaptive_quad", counted)
+        assert interference_factor_grid(1e5, 1e6, pair, alphas, spec) == expected
+        assert 0 < len(fallbacks) < sum(self.n_lobes(pair, 0.1, alphas))
+
+    def test_empty_grid(self):
+        assert interference_factor_grid(1e6, 1e6, RT_PAIR, []) == []

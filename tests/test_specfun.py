@@ -18,7 +18,9 @@ from alphaduplex.specfun import (
     hyp2f1_special,
     integrate_semi_infinite,
     lower_incomplete_gamma,
+    quad_intervals,
 )
+from alphaduplex import specfun
 
 
 class TestErfc:
@@ -268,6 +270,60 @@ class TestAdaptiveQuadFamily:
         with pytest.raises(QuadratureError):
             adaptive_quad(f, 0.0, 1.0, spec)
         assert len(calls) == 1 + spec.max_subdivisions
+
+
+class TestQuadIntervals:
+    # 40 Gaussian bumps, each on its own interval; the narrow ones need
+    # bisection under a tight tolerance
+    N = 40
+    A = np.linspace(-1.0, 0.5, N)
+    B = A + np.linspace(0.5, 3.0, N)
+    WIDTH = np.geomspace(1.0, 1e-3, N)
+    CENTER = A + 0.3
+    LOOSE = QuadratureSpec(rel_tol=1e-3, abs_tol=1.0)
+    TIGHT = QuadratureSpec(rel_tol=1e-12)
+
+    def integrand(self, calls):
+        def rows(sel):
+            w, c = self.WIDTH[sel, None], self.CENTER[sel, None]
+
+            def f(x):
+                calls.append(x.size)
+                x = x.reshape(len(w), -1)
+                return np.exp(-((x - c) / w) ** 2).ravel()
+            return f
+        return rows
+
+    def run(self, abs_tol, spec, calls=None):
+        return quad_intervals(self.integrand([] if calls is None else calls),
+                              self.A, self.B, abs_tol, spec)
+
+    def one_by_one(self, abs_tol, spec):
+        return [adaptive_quad(self.integrand([])(slice(j, j + 1)),
+                              self.A[j], self.B[j],
+                              QuadratureSpec(spec.rel_tol, abs_tol[j],
+                                             spec.max_subdivisions))
+                for j in range(self.N)]
+
+    def test_one_seed_pass_is_one_call(self):
+        calls = []
+        vals = self.run(np.full(self.N, self.LOOSE.abs_tol), self.LOOSE, calls)
+        assert calls == [self.N * 8 * 15]
+        assert all(isinstance(v, float) for v in vals)
+
+    def test_bit_equal_to_adaptive_quad_with_fallback(self, monkeypatch):
+        abs_tol = np.geomspace(1e-10, 1e-16, self.N)
+        expected = self.one_by_one(abs_tol, self.TIGHT)
+        fallbacks = []
+        real = specfun.adaptive_quad
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "adaptive_quad", counted)
+        assert self.run(abs_tol, self.TIGHT) == expected
+        assert 0 < len(fallbacks) < self.N
 
 
 class TestIntegrateSemiInfinite:

@@ -35,6 +35,15 @@ RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 ZERO = InterferenceFactors.from_cross(0.0, 0.0)
 
 
+def pin_zero_factors(monkeypatch):
+    # the sweep takes grid factors from the batched kernel and off-grid
+    # factors one alpha at a time; pin both to zero
+    monkeypatch.setattr(sweep, "interference_factors", lambda *a, **k: ZERO)
+    monkeypatch.setattr(sweep, "interference_factor_grid",
+                        lambda b_u, b_d, pair, alphas, *a, **k:
+                        [ZERO] * len(alphas))
+
+
 def factors_at(alpha, p=REF, pair=RT_PAIR):
     plan = BandPlan(p.b_u, p.b_d, alpha)
     return interference_factors(plan, *make_pulses(pair, plan))
@@ -174,8 +183,7 @@ class TestOperatingPoints:
         assert pts.fd_point == ThroughputPair(ul1.throughput, dl1.throughput)
 
     def test_no_crossing_raises(self, monkeypatch):
-        monkeypatch.setattr(sweep, "interference_factors",
-                            lambda *a, **k: ZERO)
+        pin_zero_factors(monkeypatch)
         p0 = dataclasses.replace(REF, beta=0.0)
         sr = sweep_alpha(p0, RT_PAIR, np.linspace(0.0, 1.0, 11))
         with pytest.raises(NoCrossingError):
@@ -193,8 +201,7 @@ class TestOperatingPoints:
 
         p_sym = dataclasses.replace(base, p_b=brentq(gap, 0.001, 5.0,
                                                      xtol=1e-12))
-        monkeypatch.setattr(sweep, "interference_factors",
-                            lambda *a, **k: ZERO)
+        pin_zero_factors(monkeypatch)
         sr = sweep_alpha(p_sym, RT_PAIR, np.linspace(0.0, 1.0, 11))
         pts = find_operating_points(sr, refine_tol=1e-6)
         assert pts.balanced_alpha == 1.0
@@ -228,8 +235,7 @@ class TestComparison:
     def test_pure_bandwidth_deltas_with_zero_factors(self, monkeypatch):
         # cross factors pinned to zero and no residual loop interference:
         # BER is alpha-independent, so deltas reduce to bandwidth ratios
-        monkeypatch.setattr(sweep, "interference_factors",
-                            lambda *a, **k: ZERO)
+        pin_zero_factors(monkeypatch)
         p = dataclasses.replace(REF, beta=0.0, b_u=2e6, b_d=1e6)
         sr = sweep_alpha(p, RT_PAIR, [0.0, 0.5, 1.0])
         rows = {alpha: (ul, dl) for alpha, ul, dl in sr.rows}
