@@ -12,6 +12,14 @@ configuration: exactly one UE per Voronoi cell, rather than an
 independent PPP of interferers.  Agreement between the two paths is the
 main cross-validation result.
 
+UE placement runs in lockstep over a block of realizations: each keeps its
+own generator and draws what placing it alone would draw, in the same
+order, while one vectorised rejection round serves the whole block.  A
+candidate is judged against its owner's neighbours within 2 r_max (one
+cKDTree.query_pairs per realization); a decision within a relative 1e-12
+of a tie, between two BSs or at the distance bound, goes to that
+realization's cKDTree.query, so every decision is the tree's own.
+
 Links are assembled per realization and direction as one block: the
 (links x BSs) distances and fading gains of all core links at once, the
 gains drawn in the order a link-by-link loop would draw them.
@@ -26,6 +34,7 @@ almost nothing beyond the first point.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +61,19 @@ __all__ = [
 ]
 
 
+# BSs plus directed neighbour pairs per block of realizations placed in
+# lockstep (about 6 at the reference config); bounds a round's memory.
+_BLOCK_ENTRIES = 30_000
+# Relative gap of squared distances within which cKDTree.query decides a
+# candidate; rounding is far smaller, so every decision is the tree's own.
+_TIE_TOL = 1e-12
+
+# The rest of the last placed block, (p, cfg, index) -> realization or the
+# StarvationError it raised; sample_realization serves and removes entries.
+_block: dict = {}
+_block_lock = threading.Lock()
+
+
 class StarvationError(RuntimeError):
     """A BS exhausted its candidate budget without finding an admissible UE.
 
@@ -67,7 +89,8 @@ class SimConfig:
 
     region_side 20 km gives the 400 km^2 deployment; core_side 2 km keeps
     measurements inside the central 4 km^2 away from region edges.
-    candidate_cap bounds the per-BS rejection draws for UE placement.
+    candidate_cap bounds the rejection rounds of UE placement: each round
+    draws one candidate per BS still without a UE, so no BS gets more.
     """
 
     n_realizations: int
@@ -166,49 +189,119 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
     distributionally identical to scattering candidates over the whole
     region and letting each cell keep its first admissible one, but the
     acceptance rate stays O(1) per BS.
-    """
-    from scipy.spatial import cKDTree  # deferred: only simulations need it
 
+    A miss places the realizations from realization_index on (up to
+    cfg.n_realizations) in one lockstep block and keeps the rest for later
+    calls; each served realization leaves that memo.  Draws and results are
+    those of placing the realization alone, and StarvationError is raised
+    when the starved realization is asked for.
+    """
     if realization_index < 0:
         raise ValueError("realization_index must be nonnegative")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(realization_index,)))
-    area = cfg.region_side ** 2
-    n_bs = int(rng.poisson(p.lambda_bs * area))
-    if n_bs == 0:
-        empty_pos = np.empty((0, 2))
-        return NetworkRealization(empty_pos, np.empty((0, 2)), np.empty(0),
-                                  np.empty(0), cfg.region_side, cfg.core_side)
-    bs = rng.random((n_bs, 2)) * cfg.region_side
-    tree = cKDTree(bs)
-    r_max_km = max_inversion_radius_m(p) / M_PER_KM
+    key = (p, cfg, realization_index)
+    with _block_lock:
+        if key not in _block:
+            _block.clear()
+            _block.update(_place_block(p, cfg, realization_index))
+        real = _block.pop(key)
+    if isinstance(real, StarvationError):
+        raise real
+    return real
 
-    ue = np.zeros((n_bs, 2))
-    dist = np.zeros(n_bs)
-    unserved = np.arange(n_bs)
+
+def _place_block(p: SystemParams, cfg: SimConfig, start: int) -> dict:
+    # Realizations from ``start`` on, until the block holds _BLOCK_ENTRIES:
+    # (p, cfg, index) -> realization, or the StarvationError it raised.
+    from scipy.spatial import cKDTree  # deferred: only simulations need it
+
+    r_max_km = max_inversion_radius_m(p) / M_PER_KM
+    # the owner lies within r_max; the margin absorbs coordinate rounding
+    bound = r_max_km * (1 + 1e-9)
+    block, pairs = [], []
+    n_total = entries = 0
+    for idx in range(start, max(cfg.n_realizations, start + 1)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
+        n_bs = int(rng.poisson(p.lambda_bs * cfg.region_side ** 2))
+        bs = rng.random((n_bs, 2)) * cfg.region_side
+        tree = cKDTree(bs)
+        # a BS nearer a candidate than the owner lies within 2 r_max of it
+        near = tree.query_pairs(2 * bound, output_type="ndarray") + n_total
+        block.append((idx, rng, bs, tree))
+        pairs.append(near)
+        n_total += n_bs
+        entries += n_bs + 2 * near.shape[0]
+        if entries >= _BLOCK_ENTRIES:
+            break
+    used, rngs, positions, trees = zip(*block)
+
+    sizes = np.array([bs.shape[0] for bs in positions])
+    starts = np.cumsum(sizes) - sizes
+    owner_block = np.repeat(np.arange(len(used)), sizes)
+    bx, by = np.concatenate(positions).T.copy()
+    # one row per (unserved BS, neighbour): the BS's slot in ``unserved``
+    # and the neighbour's coordinates
+    lo, hi = np.concatenate(pairs).T
+    slot = np.concatenate((lo, hi))
+    px = np.concatenate((bx[hi], bx[lo]))
+    py = np.concatenate((by[hi], by[lo]))
+    del pairs, lo, hi   # free them: the rounds need only these rows
+
+    ue = np.zeros((n_total, 2))
+    dist = np.zeros(n_total)
+    unserved = np.arange(n_total)
     for _ in range(cfg.candidate_cap):
-        m = unserved.size
-        radius = r_max_km * np.sqrt(rng.random(m))
-        angle = 2.0 * math.pi * rng.random(m)
-        cand = bs[unserved] + np.column_stack(
-            (radius * np.cos(angle), radius * np.sin(angle)))
-        inside = np.all((cand >= 0.0) & (cand <= cfg.region_side), axis=1)
-        # the owner lies within r_max; the margin absorbs coordinate rounding
-        _, nearest = tree.query(cand, distance_upper_bound=r_max_km * (1 + 1e-9))
-        ok = inside & (nearest == unserved)
-        won = unserved[ok]
-        ue[won] = cand[ok]
-        dist[won] = radius[ok]
-        unserved = unserved[~ok]
         if unserved.size == 0:
             break
-    else:
-        raise StarvationError(
-            f"{unserved.size} of {n_bs} BSs found no admissible UE within "
-            f"{cfg.candidate_cap} candidates each")
+        counts = np.bincount(owner_block[unserved], minlength=len(used))
+        # each generator draws the radii, then the angles of its own BSs
+        draws = [(rngs[j].random(c), rngs[j].random(c))
+                 for j, c in enumerate(counts.tolist()) if c]
+        radius = r_max_km * np.sqrt(np.concatenate([r for r, _ in draws]))
+        angle = 2.0 * math.pi * np.concatenate([a for _, a in draws])
+        ox, oy = bx[unserved], by[unserved]
+        cx = ox + radius * np.cos(angle)
+        cy = oy + radius * np.sin(angle)
+        inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
+        d_own = _sum_sq(ox - cx, oy - cy)
+        # squared distance to the nearest other BS (or the bound), less d_own
+        gap = np.full(unserved.size, bound * bound)
+        np.minimum.at(gap, slot, _sum_sq(cx[slot] - px, cy[slot] - py))
+        gap -= d_own
+        margin = _TIE_TOL * d_own
+        ok = inside & (gap > margin)
+        tie = inside & (np.abs(gap) <= margin)
+        for t in np.flatnonzero(tie):   # near ties are the tree's to decide
+            j = owner_block[unserved[t]]
+            _, nearest = trees[j].query((cx[t], cy[t]), distance_upper_bound=bound)
+            ok[t] = nearest == unserved[t] - starts[j]
+        won = unserved[ok]
+        ue[won, 0], ue[won, 1], dist[won] = cx[ok], cy[ok], radius[ok]
+        keep = ~ok
+        unserved = unserved[keep]
+        rows = keep[slot]
+        slot = (np.cumsum(keep) - 1)[slot[rows]]
+        px, py = px[rows], py[rows]
 
-    tx = p.rho * (M_PER_KM * dist) ** p.eta
-    return NetworkRealization(bs, ue, tx, dist, cfg.region_side, cfg.core_side)
+    left = np.bincount(owner_block[unserved], minlength=len(used))
+    out = {}
+    for j, idx in enumerate(used):
+        if left[j]:
+            out[p, cfg, idx] = StarvationError(
+                f"{left[j]} of {sizes[j]} BSs found no admissible UE within "
+                f"{cfg.candidate_cap} candidates each")
+            continue
+        span = slice(starts[j], starts[j] + sizes[j])
+        d = dist[span].copy()
+        out[p, cfg, idx] = NetworkRealization(
+            positions[j], ue[span].copy(), p.rho * (M_PER_KM * d) ** p.eta, d,
+            cfg.region_side, cfg.core_side)
+    return out
+
+
+def _sum_sq(dx, dy):
+    # dx^2 + dy^2, in place in dx and dy, which must be fresh arrays
+    return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
 
 
 def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
@@ -221,7 +314,9 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
     link-by-link loop draws them.  Returns (h0, bs_sum, ue_sum), each of
     shape (k,): bs_sum is the full P_b r^-eta fading-weighted power of
     every other BS, ue_sum the same for every other active UE; cross
-    factors multiply these afterwards.
+    factors multiply these afterwards.  The arithmetic runs in place, in
+    the operand order of g * (1000 d)^-eta, so that a campaign does not
+    churn the heap with fresh (k, n_bs) temporaries.
     """
     k, n = tagged.size, real.n_bs
     if k == 0:
@@ -231,17 +326,18 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
     others = np.ones((k, n), dtype=bool)
     others[np.arange(k), tagged] = False
 
-    def compact(block):   # (k, n) -> (k, n - 1) without column tagged[i]
-        return block[others].reshape(k, n - 1)
+    def path_gain(pos, gains):   # gains * (1000 d)^-eta, d as np.linalg.norm's
+        sq = _sum_sq(pos[:, 0] - rx_pos[:, :1], pos[:, 1] - rx_pos[:, 1:])
+        d = np.sqrt(sq, out=sq)[others].reshape(k, n - 1)
+        d *= M_PER_KM
+        d **= -p.eta
+        d *= gains
+        return d
 
-    def dist_m(pos):   # np.linalg.norm's sqrt(dx^2 + dy^2), bit for bit
-        dx = pos[:, 0] - rx_pos[:, :1]
-        dy = pos[:, 1] - rx_pos[:, 1:]
-        return M_PER_KM * compact(np.sqrt(dx * dx + dy * dy))
-
-    bs_terms = g[:, 1:n] * dist_m(real.bs_positions) ** -p.eta
-    tx = compact(np.broadcast_to(real.tx_power, (k, n)))
-    ue_terms = tx * g[:, n:] * dist_m(real.ue_positions) ** -p.eta
+    bs_terms = path_gain(real.bs_positions, g[:, 1:n])
+    tx = np.broadcast_to(real.tx_power, (k, n))[others].reshape(k, n - 1)
+    tx *= g[:, n:]
+    ue_terms = path_gain(real.ue_positions, tx)
     h0 = g[:, 0].copy()   # a view would keep the whole block alive
     return h0, p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)
 

@@ -24,6 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .model import Direction
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad, quad_intervals
 
 # Lobes per integrand call, 15 Kronrod nodes on each of their 8 seed panels:
-# alphas are integrated in groups of about this many lobes (an alpha with
-# more goes alone), which bounds the memory of one call.
+# the lobes of an alpha grid are integrated this many at a time, in band
+# order and across alpha boundaries, which bounds the memory of one call.
 _LOBES_PER_CALL = 128
 
 
@@ -223,20 +224,19 @@ def _lobes(victim: Direction, plan: BandPlan, pulse_u: PulseShape,
 def _correlations(cases, spec: QuadratureSpec) -> list[tuple[float, float]]:
     # (I_d->u, I_u->d) per (plan, pulse_u, pulse_d) case, bit-equal to
     # integrating the lobes one at a time: each lobe gets abs_tol / n_lobes,
-    # and the lobes are summed in band order as Python floats.  The cases
-    # are integrated in groups of about _LOBES_PER_CALL lobes.
-    totals, rows, owner = [], [], []
-    for i, case in enumerate(cases):
+    # and the lobes are summed in band order as Python floats.  The lobes
+    # of all cases are integrated _LOBES_PER_CALL at a time, so one case
+    # may span several calls.
+    for case in cases:
         _check_pulses(*case)
-        totals.append([0.0, 0.0])
-        for k, victim in enumerate(Direction):
-            lobes = _lobes(victim, *case)
-            rows += lobes
-            owner += [(i, k)] * len(lobes)
-        if len(rows) >= _LOBES_PER_CALL or i == len(cases) - 1:
-            for (j, k), value in zip(owner, _integrate_lobes(rows, spec)):
-                totals[j][k] += value
-            rows, owner = [], []
+    pending = (((i, k), lobe) for i, case in enumerate(cases)
+               for k, victim in enumerate(Direction)
+               for lobe in _lobes(victim, *case))
+    totals = [[0.0, 0.0] for _ in cases]
+    while chunk := list(islice(pending, _LOBES_PER_CALL)):
+        owner, rows = zip(*chunk)
+        for (j, k), value in zip(owner, _integrate_lobes(rows, spec)):
+            totals[j][k] += value
     return [tuple(t) for t in totals]
 
 

@@ -21,9 +21,13 @@ np.arctan instead of 2F1 and assembled into uplink and downlink BERs by the
 package's public quadrature, are an oracle for the package's
 hypergeometric kernel and exponent code at the reference exponent.
 
-A last oracle assembles Monte Carlo link parts one link at a time, in the
-order the simulator draws its fading gains, as a reference for the batched
-per-realization assembly.
+Three oracles serve the Monte Carlo simulator: UE placement one
+realization at a time, a ``cKDTree.query`` per rejection round, as the
+reference for the lockstep placement of a block of realizations; link parts
+assembled one link at a time, in the order the simulator draws its fading
+gains, as the reference for the batched per-realization assembly; and that
+batched assembly written with fresh arrays, as the reference for its
+in-place arithmetic.
 
 The interference factors have a bit-exact oracle: each lobe between the
 spectral nulls integrated on its own by ``adaptive_quad``, as the package
@@ -44,6 +48,7 @@ from alphaduplex.model import (
     noise_variance,
     uplink_power_moment,
 )
+from alphaduplex.montecarlo import NetworkRealization, StarvationError
 from alphaduplex.pulse import InterferenceFactors, spectrum
 from alphaduplex.specfun import QuadratureSpec, adaptive_quad, integrate_semi_infinite
 
@@ -417,6 +422,54 @@ def ber_downlink_eta4_arctan(factors: InterferenceFactors,
 
 
 # ---------------------------------------------------------------------------
+# UE placement one realization at a time: each rejection round asks the
+# realization's k-d tree for the nearest BS of every candidate.
+# ---------------------------------------------------------------------------
+
+def sample_realization_per_round(p: SystemParams, cfg,
+                                 realization_index: int) -> NetworkRealization:
+    """One deployment, drawn exactly as ``sample_realization`` draws it."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed, spawn_key=(realization_index,)))
+    area = cfg.region_side ** 2
+    n_bs = int(rng.poisson(p.lambda_bs * area))
+    if n_bs == 0:
+        return NetworkRealization(np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
+                                  np.empty(0), cfg.region_side, cfg.core_side)
+    bs = rng.random((n_bs, 2)) * cfg.region_side
+    tree = cKDTree(bs)
+    r_max_km = max_inversion_radius_m(p) / M_PER_KM
+
+    ue = np.zeros((n_bs, 2))
+    dist = np.zeros(n_bs)
+    unserved = np.arange(n_bs)
+    for _ in range(cfg.candidate_cap):
+        m = unserved.size
+        radius = r_max_km * np.sqrt(rng.random(m))
+        angle = 2.0 * math.pi * rng.random(m)
+        cand = bs[unserved] + np.column_stack(
+            (radius * np.cos(angle), radius * np.sin(angle)))
+        inside = np.all((cand >= 0.0) & (cand <= cfg.region_side), axis=1)
+        _, nearest = tree.query(cand, distance_upper_bound=r_max_km * (1 + 1e-9))
+        ok = inside & (nearest == unserved)
+        won = unserved[ok]
+        ue[won] = cand[ok]
+        dist[won] = radius[ok]
+        unserved = unserved[~ok]
+        if unserved.size == 0:
+            break
+    else:
+        raise StarvationError(
+            f"{unserved.size} of {n_bs} BSs found no admissible UE within "
+            f"{cfg.candidate_cap} candidates each")
+
+    tx = p.rho * (M_PER_KM * dist) ** p.eta
+    return NetworkRealization(bs, ue, tx, dist, cfg.region_side, cfg.core_side)
+
+
+# ---------------------------------------------------------------------------
 # Per-link Monte Carlo link assembly: one link at a time, in the simulator's
 # draw order (h0, then every other BS's gain, then every other UE's gain).
 # ---------------------------------------------------------------------------
@@ -445,6 +498,33 @@ def link_parts_per_link(real, p: SystemParams, rng):
           + (M_PER_KM * real.serving_distance[u], float(real.tx_power[u]))
           for u in real.core_ue_indices()]
     return np.reshape(ul, (-1, 3)), np.reshape(dl, (-1, 5))
+
+
+def link_parts_out_of_place(rx_pos, tagged, real, p: SystemParams, rng):
+    """``_link_parts`` as fresh-array expressions, g * (1000 d)^-eta.
+
+    The reference for the in-place assembly: the same gain block, the same
+    column compaction and the same operand order, every step a new array.
+    """
+    k, n = tagged.size, real.n_bs
+    if k == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    g = rng.standard_exponential(size=(k, 2 * n - 1))
+    others = np.ones((k, n), dtype=bool)
+    others[np.arange(k), tagged] = False
+
+    def compact(block):
+        return block[others].reshape(k, n - 1)
+
+    def dist_m(pos):
+        dx = pos[:, 0] - rx_pos[:, :1]
+        dy = pos[:, 1] - rx_pos[:, 1:]
+        return M_PER_KM * compact(np.sqrt(dx * dx + dy * dy))
+
+    bs_terms = g[:, 1:n] * dist_m(real.bs_positions) ** -p.eta
+    tx = compact(np.broadcast_to(real.tx_power, (k, n)))
+    ue_terms = tx * g[:, n:] * dist_m(real.ue_positions) ** -p.eta
+    return g[:, 0].copy(), p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)
 
 
 def factor_per_lobe(victim: Direction, plan, pulse_u, pulse_d,

@@ -7,11 +7,14 @@ plus structural, determinism, and scaling properties.
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from alphaduplex.analytic import ber_downlink, ber_uplink
+from alphaduplex import montecarlo
 from alphaduplex.model import (
     M_PER_KM,
     Direction,
@@ -39,7 +42,11 @@ from alphaduplex.pulse import (
     make_pulses,
 )
 
-from mc_oracles import link_parts_per_link
+from mc_oracles import (
+    link_parts_out_of_place,
+    link_parts_per_link,
+    sample_realization_per_round,
+)
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
@@ -108,6 +115,168 @@ class TestSampling:
             SimConfig(n_realizations=1, seed=1, region_side=2.0, core_side=2.0)
         with pytest.raises(ValueError):
             SimConfig(n_realizations=1, seed=1, candidate_cap=0)
+
+
+FIELDS = ("bs_positions", "ue_positions", "tx_power", "serving_distance")
+
+
+def assert_same_realization(got, want):
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def count_blocks(monkeypatch):
+    # the realization count of every block placed from here on
+    blocks = []
+    real = montecarlo._place_block
+
+    def counted(p, cfg, indices):
+        out = real(p, cfg, indices)
+        blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_place_block", counted)
+    return blocks
+
+
+class TestLockstepPlacement:
+    """Blocks of realizations placed in lockstep against the per-round oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 23])
+    def test_bit_equal_across_block_boundaries(self, seed, monkeypatch):
+        cfg = SimConfig(n_realizations=20, seed=seed)
+        blocks = count_blocks(monkeypatch)
+        for idx in range(cfg.n_realizations):
+            assert_same_realization(sample_realization(REF, cfg, idx),
+                                    sample_realization_per_round(REF, cfg, idx))
+        assert sum(blocks) == cfg.n_realizations and len(blocks) >= 2
+
+    def test_out_of_order_requests(self, monkeypatch):
+        cfg = SimConfig(n_realizations=20, seed=2)
+        blocks = count_blocks(monkeypatch)
+        for idx in (3, 4, 0, 19, 18, 19, 7, 3):
+            assert_same_realization(sample_realization(REF, cfg, idx),
+                                    sample_realization_per_round(REF, cfg, idx))
+        # misses at 3, 0, 19 (alone: the last index), 18 (19 was served;
+        # the second 19 is a hit), 7 (served by the block from 0) and 3
+        assert len(blocks) == 6 and blocks[2:4] == [1, 2]
+
+    def test_index_beyond_n_realizations(self, monkeypatch):
+        cfg = SimConfig(n_realizations=3, seed=8)
+        blocks = count_blocks(monkeypatch)
+        for idx in (5, 9, 3):
+            assert_same_realization(sample_realization(REF, cfg, idx),
+                                    sample_realization_per_round(REF, cfg, idx))
+        assert blocks == [1, 1, 1]
+
+    def test_empty_realizations_inside_a_block(self, monkeypatch):
+        # Poisson(0.8) BSs on 400 km^2: about half the realizations are
+        # empty, and all ten share one block
+        sparse = dataclasses.replace(REF, lambda_bs=0.002)
+        cfg = SimConfig(n_realizations=10, seed=4)
+        blocks = count_blocks(monkeypatch)
+        reals = [sample_realization(sparse, cfg, i) for i in range(10)]
+        assert blocks == [10]
+        assert {r.n_bs == 0 for r in reals} == {True, False}
+        for idx, real in enumerate(reals):
+            assert_same_realization(
+                real, sample_realization_per_round(sparse, cfg, idx))
+
+    def test_one_realization_per_block(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1)
+        cfg = SimConfig(n_realizations=4, seed=6)
+        blocks = count_blocks(monkeypatch)
+        for idx in range(cfg.n_realizations):
+            assert_same_realization(sample_realization(REF, cfg, idx),
+                                    sample_realization_per_round(REF, cfg, idx))
+        assert blocks == [1, 1, 1, 1]
+
+    def test_every_decision_by_the_tree(self, monkeypatch):
+        # a tie margin of 1e300 * d_own leaves no candidate to the
+        # neighbour rows: every one inside the region goes to cKDTree.query
+        # (the cap turns a wrong decision into an error, not a long loop)
+        monkeypatch.setattr(montecarlo, "_TIE_TOL", 1e300)
+        cfg = SimConfig(n_realizations=3, seed=12, candidate_cap=5000)
+        for idx in range(cfg.n_realizations):
+            assert_same_realization(sample_realization(REF, cfg, idx),
+                                    sample_realization_per_round(REF, cfg, idx))
+
+    def test_later_starvation_spares_earlier_realizations(self):
+        # seed 14: realization 0 places all its UEs within 3 candidates,
+        # realizations 1 and 2 do not
+        cfg = SimConfig(n_realizations=3, seed=14, region_side=2.0,
+                        core_side=1.0, candidate_cap=3)
+        assert_same_realization(sample_realization(REF, cfg, 0),
+                                sample_realization_per_round(REF, cfg, 0))
+        for idx in (1, 2):
+            with pytest.raises(StarvationError) as oracle:
+                sample_realization_per_round(REF, cfg, idx)
+            with pytest.raises(StarvationError) as got:
+                sample_realization(REF, cfg, idx)
+            assert str(got.value) == str(oracle.value)
+        assert str(got.value) == ("4 of 15 BSs found no admissible UE "
+                                  "within 3 candidates each")
+
+    def test_repeated_call_returns_independent_arrays(self):
+        cfg = SimConfig(n_realizations=5, seed=10)
+        first = sample_realization(REF, cfg, 2)
+        again = sample_realization(REF, cfg, 2)
+        for name in FIELDS:
+            a, b = getattr(first, name), getattr(again, name)
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        before = again.ue_positions.copy()
+        first.ue_positions[:] = -1.0
+        assert np.array_equal(again.ue_positions, before)
+        assert_same_realization(sample_realization(REF, cfg, 3),
+                                sample_realization_per_round(REF, cfg, 3))
+
+    def test_memo_keyed_by_params_and_config(self):
+        cfg = SimConfig(n_realizations=4, seed=3)
+        sample_realization(REF, cfg, 0)   # leaves 1.. in the memo
+        other = dataclasses.replace(REF, p_u_max=0.5)
+        assert_same_realization(sample_realization(other, cfg, 1),
+                                sample_realization_per_round(other, cfg, 1))
+        moved = SimConfig(n_realizations=4, seed=4)
+        assert_same_realization(sample_realization(REF, moved, 2),
+                                sample_realization_per_round(REF, moved, 2))
+
+    def test_threads_share_the_memo_safely(self):
+        # four threads on two cores interleave misses and hits of two
+        # configs; every result must still equal placing it alone
+        cfgs = [SimConfig(n_realizations=12, seed=s, region_side=4.0,
+                          core_side=1.0) for s in (1, 2)]
+        want = {(c.seed, i): sample_realization_per_round(REF, c, i)
+                for c in cfgs for i in range(c.n_realizations)}
+        got, errors = {}, []
+
+        def work(offset):
+            try:
+                for k in range(24):
+                    cfg = cfgs[(k + offset) % 2]
+                    i = (k * 5 + offset) % cfg.n_realizations
+                    got[offset, k] = (cfg.seed, i,
+                                      sample_realization(REF, cfg, i))
+            except Exception as exc:   # reported below, in the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(got) == 4 * 24
+        for seed, i, real in got.values():
+            assert_same_realization(real, want[seed, i])
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            sample_realization(REF, SimConfig(n_realizations=1, seed=1), -1)
 
 
 class TestSinr:
@@ -186,6 +355,23 @@ class TestLinkAssembly:
         assert np.array_equal(dl_b, dl_o)
         # both consumed exactly the same stream
         assert rng_batched.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("links", ["none", "one", "core"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_in_place_equals_out_of_place(self, links, direction):
+        real = sample_realization(REF, SimConfig(n_realizations=1, seed=29), 0)
+        core = (real.core_bs_indices() if direction is Direction.UPLINK
+                else real.core_ue_indices())
+        tagged = {"none": core[:0], "one": core[:1], "core": core}[links]
+        pos = (real.bs_positions if direction is Direction.UPLINK
+               else real.ue_positions)[tagged]
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        got = _link_parts(pos, tagged, real, REF, rng_a)
+        want = link_parts_out_of_place(pos, tagged, real, REF, rng_b)
+        assert core.size > 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(part.shape == (tagged.size,) for part in got)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_parts_do_not_pin_the_gain_block(self):
         # a view into the (k, 2 n_bs - 1) gains would keep every block of a

@@ -309,8 +309,9 @@ class TestBatchedFactors:
         assert calls == [(n_lobes, 8 * 15)] * 2
 
     def test_alphas_grouped_under_lobe_budget(self, monkeypatch):
-        # a group closes once it holds 10 lobes: at ratio 1 that takes two
-        # or three alphas, at ratio 0.02 every alpha goes alone
+        # every call but the last holds exactly 10 lobes, cut across alpha
+        # boundaries: at ratio 1 an alpha has 3-5 lobes, at ratio 0.02
+        # about 100, so there one alpha spans ten calls
         monkeypatch.setattr(pulse, "_LOBES_PER_CALL", 10)
         for ratio in (1.0, 0.02):
             expected = [factors_per_lobe(plan, *pulses)
@@ -318,15 +319,24 @@ class TestBatchedFactors:
             calls = self.count_integrand_calls(monkeypatch)
             assert interference_factor_grid(
                 1e6 * ratio, 1e6, RT_PAIR, COARSE) == expected
-            groups, pending = [], 0
-            for n in self.n_lobes(RT_PAIR, ratio, COARSE):
-                pending += n
-                if pending >= 10:
-                    groups.append(pending)
-                    pending = 0
-            groups += [pending] if pending else []
+            total = sum(self.n_lobes(RT_PAIR, ratio, COARSE))
+            groups = [10] * (total // 10) + ([total % 10] if total % 10 else [])
             # aggressor and victim spectrum, once each per group
             assert calls == [(n, 8 * 15) for n in groups for _ in range(2)]
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS,
+                             ids=lambda p: f"{p.uplink.value}-{p.downlink.value}")
+    def test_one_alpha_split_across_calls(self, pair, monkeypatch):
+        # b_u / b_d = 1e-3: 1,000 to 2,000 lobes per alpha, so at the real
+        # budget each alpha spans several calls and the cuts fall mid-alpha
+        alphas = [0.0, 0.61, 1.0]
+        n_lobes = self.n_lobes(pair, 1e-3, alphas)
+        assert min(n_lobes) > 5 * pulse._LOBES_PER_CALL
+        expected = [factors_per_lobe(plan, *pulses)
+                    for plan, pulses in self.cases(pair, 1e-3, alphas)]
+        calls = self.count_integrand_calls(monkeypatch)
+        assert interference_factor_grid(1e3, 1e6, pair, alphas) == expected
+        assert len(calls) == 2 * -(-sum(n_lobes) // pulse._LOBES_PER_CALL)
 
     def test_lobes_missing_tolerance_fall_back(self, monkeypatch):
         # a tolerance near machine precision: a few lobes miss it in the
