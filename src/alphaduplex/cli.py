@@ -81,42 +81,64 @@ def _strip_unit(raw: str, units: dict[str, float]) -> float:
     return float(text)
 
 
-def _unit_parser(what: str, units: dict[str, float], hint: str, log=None):
-    # log: (suffix, conversion) of a logarithmic unit such as dBm, or None
-    def parse(raw: str, key: str) -> float:
-        text = raw.strip()
-        try:
-            if log and text.lower().endswith(log[0]):
-                return log[1](float(text[:-len(log[0])].strip()))
-            return _strip_unit(text, units)
-        except (ValueError, OverflowError):   # 10 ** x beyond a double
-            raise ConfigError(f"{key}: cannot parse {what} value {raw!r} "
-                              f"({hint})") from None
-    return parse
+def _parse_power(raw: str, key: str) -> float:
+    text = raw.strip()
+    try:
+        if text.lower().endswith("dbm"):
+            return dbm_to_watts(float(text[:-3].strip()))
+        return _strip_unit(text, {"mw": 1e-3, "w": 1.0})
+    except (ValueError, OverflowError):   # 10 ** x beyond a double
+        raise ConfigError(f"{key}: cannot parse power value {raw!r} "
+                          "(use W, mW, or dBm)") from None
 
 
-_parse_power = _unit_parser("power", {"mw": 1e-3, "w": 1.0},
-                            "use W, mW, or dBm", ("dbm", dbm_to_watts))
-_parse_ratio = _unit_parser("ratio", {}, "use a linear value or dB",
-                            ("db", db_to_linear))
-_parse_frequency = _unit_parser("frequency",
-                                {"ghz": 1e9, "mhz": 1e6, "khz": 1e3, "hz": 1.0},
-                                "use Hz, kHz, MHz, or GHz")
-_parse_density = _unit_parser("density", {"/km2": 1.0}, "per km2")
-_parse_length_km = _unit_parser("length", {"km": 1.0}, "km")
+def _parse_ratio(raw: str, key: str) -> float:
+    text = raw.strip()
+    try:
+        if text.lower().endswith("db"):
+            return db_to_linear(float(text[:-2].strip()))
+        return float(text)
+    except (ValueError, OverflowError):   # 10 ** x beyond a double
+        raise ConfigError(f"{key}: cannot parse ratio value {raw!r} "
+                          "(use a linear value or dB)") from None
 
 
-def _number_parser(cast, what: str):
-    def parse(raw: str, key: str):
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {what} {raw!r}") from None
-    return parse
+def _parse_frequency(raw: str, key: str) -> float:
+    try:
+        return _strip_unit(raw, {"ghz": 1e9, "mhz": 1e6, "khz": 1e3, "hz": 1.0})
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse frequency value {raw!r} "
+                          "(use Hz, kHz, MHz, or GHz)") from None
 
 
-_parse_float = _number_parser(float, "number")
-_parse_int = _number_parser(int, "integer")
+def _parse_density(raw: str, key: str) -> float:
+    try:
+        return _strip_unit(raw, {"/km2": 1.0})
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse density value {raw!r} "
+                          "(per km2)") from None
+
+
+def _parse_length_km(raw: str, key: str) -> float:
+    try:
+        return _strip_unit(raw, {"km": 1.0})
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse length value {raw!r} "
+                          "(km)") from None
+
+
+def _parse_float(raw: str, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse number {raw!r}") from None
+
+
+def _parse_int(raw: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse integer {raw!r}") from None
 
 
 def _parse_pulse(raw: str, key: str) -> PulseKind:

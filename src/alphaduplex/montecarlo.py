@@ -16,9 +16,10 @@ UE placement runs in lockstep over a block of realizations: each keeps its
 own generator and draws what placing it alone would draw, in the same
 order, while one vectorised rejection round serves the whole block.  A
 candidate is judged against its owner's neighbours within 2 r_max (one
-cKDTree.query_pairs per realization); a decision within a relative 1e-12
-of a tie, between two BSs or at the distance bound, goes to that
-realization's cKDTree.query, so every decision is the tree's own.
+cKDTree.query_pairs per realization, where they fit the block budget); a
+realization with too many neighbour pairs, and a decision within a
+relative 1e-12 of a tie, between two BSs or at the distance bound, go to
+that realization's cKDTree.query, so every decision is the tree's own.
 
 Links are assembled per realization and direction as one block: the
 (links x BSs) distances and fading gains of all core links at once, the
@@ -62,7 +63,9 @@ __all__ = [
 
 
 # BSs plus directed neighbour pairs per block of realizations placed in
-# lockstep (about 6 at the reference config); bounds a round's memory.
+# lockstep (about 6 at the reference config).  A realization whose BSs and
+# pairs, expected or listed, pass it lists none and asks its k-d tree every
+# round; its BSs count alone, so a round holds O(_BLOCK_ENTRIES + BSs).
 _BLOCK_ENTRIES = 30_000
 # Relative gap of squared distances within which cKDTree.query decides a
 # candidate; rounding is far smaller, so every decision is the tree's own.
@@ -71,6 +74,7 @@ _TIE_TOL = 1e-12
 # The rest of the last placed block, (p, cfg, index) -> realization or the
 # StarvationError it raised; sample_realization serves and removes entries.
 _block: dict = {}
+_last = None   # the (p, cfg, index) of the last call
 _block_lock = threading.Lock()
 
 
@@ -190,57 +194,73 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
     region and letting each cell keep its first admissible one, but the
     acceptance rate stays O(1) per BS.
 
-    A miss places the realizations from realization_index on (up to
-    cfg.n_realizations) in one lockstep block and keeps the rest for later
-    calls; each served realization leaves that memo.  Draws and results are
-    those of placing the realization alone, and StarvationError is raised
-    when the starved realization is asked for.
+    A miss that continues a scan (the previous call asked for
+    realization_index - 1 under the same p and cfg) places the
+    realizations from realization_index on, up to cfg.n_realizations, in
+    one lockstep block and keeps the rest for later calls; any other miss
+    places the realization alone.  Each served realization leaves that
+    memo.  Draws and results are those of placing the realization alone,
+    and StarvationError is raised when the starved realization is asked for.
     """
+    global _last
     if realization_index < 0:
         raise ValueError("realization_index must be nonnegative")
     key = (p, cfg, realization_index)
     with _block_lock:
         if key not in _block:
+            scan = _last == (p, cfg, realization_index - 1)
+            stop = max(cfg.n_realizations if scan else 0, realization_index + 1)
             _block.clear()
-            _block.update(_place_block(p, cfg, realization_index))
+            _block.update(_place_block(p, cfg, realization_index, stop))
+        _last = key
         real = _block.pop(key)
     if isinstance(real, StarvationError):
         raise real
     return real
 
 
-def _place_block(p: SystemParams, cfg: SimConfig, start: int) -> dict:
-    # Realizations from ``start`` on, until the block holds _BLOCK_ENTRIES:
-    # (p, cfg, index) -> realization, or the StarvationError it raised.
+def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict:
+    # Realizations start, start + 1, ... before stop, until the block holds
+    # _BLOCK_ENTRIES: (p, cfg, index) -> realization, or its StarvationError.
     from scipy.spatial import cKDTree  # deferred: only simulations need it
 
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
     # the owner lies within r_max; the margin absorbs coordinate rounding
     bound = r_max_km * (1 + 1e-9)
-    block, pairs = [], []
+    # a BS nearer a candidate than the owner lies within 2 r_max of it;
+    # the expected such neighbours of a BS, an overcount near the edges
+    per_bs = p.lambda_bs * math.pi * (2 * bound) ** 2
+    block, pairs = [], [np.empty((0, 2), dtype=np.intp)]
     n_total = entries = 0
-    for idx in range(start, max(cfg.n_realizations, start + 1)):
+    for idx in range(start, stop):
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
         n_bs = int(rng.poisson(p.lambda_bs * cfg.region_side ** 2))
         bs = rng.random((n_bs, 2)) * cfg.region_side
         tree = cKDTree(bs)
-        # a BS nearer a candidate than the owner lies within 2 r_max of it
-        near = tree.query_pairs(2 * bound, output_type="ndarray") + n_total
-        block.append((idx, rng, bs, tree))
-        pairs.append(near)
+        # list the pairs only where they are expected to fit the budget,
+        # and do; other realizations ask their tree every round
+        untabulated = n_bs * (1 + per_bs) > _BLOCK_ENTRIES
+        if not untabulated:
+            near = tree.query_pairs(2 * bound, output_type="ndarray") + n_total
+            untabulated = n_bs + 2 * near.shape[0] > _BLOCK_ENTRIES
+            if not untabulated:
+                pairs.append(near)
+                entries += 2 * near.shape[0]
+        block.append((idx, rng, bs, tree, untabulated))
         n_total += n_bs
-        entries += n_bs + 2 * near.shape[0]
+        entries += n_bs
         if entries >= _BLOCK_ENTRIES:
             break
-    used, rngs, positions, trees = zip(*block)
+    used, rngs, positions, trees, asks_tree = zip(*block)
 
     sizes = np.array([bs.shape[0] for bs in positions])
     starts = np.cumsum(sizes) - sizes
     owner_block = np.repeat(np.arange(len(used)), sizes)
+    by_tree = np.repeat(asks_tree, sizes)
     bx, by = np.concatenate(positions).T.copy()
-    # one row per (unserved BS, neighbour): the BS's slot in ``unserved``
-    # and the neighbour's coordinates
+    # one row per (unserved BS, neighbour) of the tabulated realizations:
+    # the BS's slot in ``unserved`` and the neighbour's coordinates
     lo, hi = np.concatenate(pairs).T
     slot = np.concatenate((lo, hi))
     px = np.concatenate((bx[hi], bx[lo]))
@@ -253,7 +273,8 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int) -> dict:
     for _ in range(cfg.candidate_cap):
         if unserved.size == 0:
             break
-        counts = np.bincount(owner_block[unserved], minlength=len(used))
+        owner = owner_block[unserved]
+        counts = np.bincount(owner, minlength=len(used))
         # each generator draws the radii, then the angles of its own BSs
         draws = [(rngs[j].random(c), rngs[j].random(c))
                  for j, c in enumerate(counts.tolist()) if c]
@@ -269,11 +290,14 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int) -> dict:
         np.minimum.at(gap, slot, _sum_sq(cx[slot] - px, cy[slot] - py))
         gap -= d_own
         margin = _TIE_TOL * d_own
-        ok = inside & (gap > margin)
-        tie = inside & (np.abs(gap) <= margin)
-        for t in np.flatnonzero(tie):   # near ties are the tree's to decide
-            j = owner_block[unserved[t]]
-            _, nearest = trees[j].query((cx[t], cy[t]), distance_upper_bound=bound)
+        tree_rows = by_tree[unserved]
+        ok = inside & ~tree_rows & (gap > margin)
+        ask = inside & (tree_rows | (np.abs(gap) <= margin))
+        # near ties and untabulated realizations are the tree's to decide
+        for j in np.unique(owner[ask]).tolist():
+            t = np.flatnonzero(ask & (owner == j))
+            _, nearest = trees[j].query(np.column_stack((cx[t], cy[t])),
+                                        distance_upper_bound=bound)
             ok[t] = nearest == unserved[t] - starts[j]
         won = unserved[ok]
         ue[won, 0], ue[won, 1], dist[won] = cx[ok], cy[ok], radius[ok]

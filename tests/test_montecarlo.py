@@ -9,9 +9,11 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import spatial
 
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex import montecarlo
@@ -130,8 +132,8 @@ def count_blocks(monkeypatch):
     blocks = []
     real = montecarlo._place_block
 
-    def counted(p, cfg, indices):
-        out = real(p, cfg, indices)
+    def counted(*args):
+        out = real(*args)
         blocks.append(len(out))
         return out
 
@@ -149,17 +151,31 @@ class TestLockstepPlacement:
         for idx in range(cfg.n_realizations):
             assert_same_realization(sample_realization(REF, cfg, idx),
                                     sample_realization_per_round(REF, cfg, idx))
-        assert sum(blocks) == cfg.n_realizations and len(blocks) >= 2
+        # index 0 opens no scan and is placed alone; 1 continues one
+        assert blocks[0] == 1 and blocks[1] > 1
+        assert sum(blocks) == cfg.n_realizations and len(blocks) >= 3
 
     def test_out_of_order_requests(self, monkeypatch):
         cfg = SimConfig(n_realizations=20, seed=2)
         blocks = count_blocks(monkeypatch)
-        for idx in (3, 4, 0, 19, 18, 19, 7, 3):
+        for idx in (3, 4, 5, 0, 19, 18, 19, 7, 3):
             assert_same_realization(sample_realization(REF, cfg, idx),
                                     sample_realization_per_round(REF, cfg, idx))
-        # misses at 3, 0, 19 (alone: the last index), 18 (19 was served;
-        # the second 19 is a hit), 7 (served by the block from 0) and 3
-        assert len(blocks) == 6 and blocks[2:4] == [1, 2]
+        # 4 continues the scan from 3 and places a block that serves 5;
+        # every other request is a miss placed alone, the second 19 too
+        # (it follows 18, but is the last index)
+        assert blocks[0] == 1 and blocks[1] > 2
+        assert blocks[2:] == [1] * 6
+
+    def test_repeated_index_is_placed_alone(self, monkeypatch):
+        # random access, such as asking for one index again and again,
+        # places one realization per call, not a block
+        cfg = SimConfig(n_realizations=20, seed=2)
+        blocks = count_blocks(monkeypatch)
+        for _ in range(3):
+            assert_same_realization(sample_realization(REF, cfg, 0),
+                                    sample_realization_per_round(REF, cfg, 0))
+        assert blocks == [1, 1, 1]
 
     def test_index_beyond_n_realizations(self, monkeypatch):
         cfg = SimConfig(n_realizations=3, seed=8)
@@ -176,7 +192,7 @@ class TestLockstepPlacement:
         cfg = SimConfig(n_realizations=10, seed=4)
         blocks = count_blocks(monkeypatch)
         reals = [sample_realization(sparse, cfg, i) for i in range(10)]
-        assert blocks == [10]
+        assert blocks == [1, 9]
         assert {r.n_bs == 0 for r in reals} == {True, False}
         for idx, real in enumerate(reals):
             assert_same_realization(
@@ -200,6 +216,43 @@ class TestLockstepPlacement:
         for idx in range(cfg.n_realizations):
             assert_same_realization(sample_realization(REF, cfg, idx),
                                     sample_realization_per_round(REF, cfg, idx))
+
+    def test_untabulated_realizations_ask_the_tree(self, monkeypatch):
+        # eta = 2.5 gives r_max = 10 km: about 100 BSs on 400 km^2, nearly
+        # all of them neighbours.  Realizations with more than about 98
+        # BSs are expected to pass _BLOCK_ENTRIES and list no pairs, the
+        # others list theirs; both kinds share blocks
+        wide = dataclasses.replace(REF, eta=2.5, lambda_bs=0.245)
+        cfg = SimConfig(n_realizations=8, seed=1)
+        listed = []
+
+        class CountingTree(spatial.cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                listed.append(self.n)
+                return super().query_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+        blocks = count_blocks(monkeypatch)
+        reals = [sample_realization(wide, cfg, i) for i in range(8)]
+        assert 0 < len(listed) < 8 and max(blocks) > 1
+        for idx, real in enumerate(reals):
+            assert_same_realization(
+                real, sample_realization_per_round(wide, cfg, idx))
+
+    def test_pair_table_memory_stays_bounded(self):
+        # eta = 3: r_max = 2.15 km, about 145 neighbours per BS.  Listing
+        # them would keep some 170,000 rows (4 MB, and as much again per
+        # round); asking the tree keeps O(BSs)
+        wide = dataclasses.replace(REF, eta=3.0)
+        cfg = SimConfig(n_realizations=1, seed=3)
+        tracemalloc.start()
+        try:
+            real = sample_realization(wide, cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert_same_realization(real, sample_realization_per_round(wide, cfg, 0))
 
     def test_later_starvation_spares_earlier_realizations(self):
         # seed 14: realization 0 places all its UEs within 3 candidates,
@@ -232,10 +285,11 @@ class TestLockstepPlacement:
 
     def test_memo_keyed_by_params_and_config(self):
         cfg = SimConfig(n_realizations=4, seed=3)
-        sample_realization(REF, cfg, 0)   # leaves 1.. in the memo
+        sample_realization(REF, cfg, 0)
+        sample_realization(REF, cfg, 1)   # leaves 2.. in the memo
         other = dataclasses.replace(REF, p_u_max=0.5)
-        assert_same_realization(sample_realization(other, cfg, 1),
-                                sample_realization_per_round(other, cfg, 1))
+        assert_same_realization(sample_realization(other, cfg, 2),
+                                sample_realization_per_round(other, cfg, 2))
         moved = SimConfig(n_realizations=4, seed=4)
         assert_same_realization(sample_realization(REF, moved, 2),
                                 sample_realization_per_round(REF, moved, 2))
