@@ -348,12 +348,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    metrics = run_campaign(cfg.params, cfg.sim, list(cfg.alpha_grid),
-                           cfg.pulses)
+    alphas = list(cfg.alpha_grid)
+    # one factor grid serves both the campaign and the closed forms
+    factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
+                                       cfg.pulses, alphas)
+    metrics = run_campaign(cfg.params, cfg.sim, alphas, cfg.pulses,
+                           factors=factors)
     # rows come as (uplink, downlink) per alpha; one analytic point each
     analytic = []
-    for m in metrics[::2]:
-        analytic.extend(_evaluate_point(cfg.params, cfg.pulses, m.alpha))
+    for m, fac in zip(metrics[::2], factors):
+        analytic.extend(_evaluate_point(cfg.params, m.alpha, fac))
     rows = []
     max_gap = {Direction.UPLINK: 0.0, Direction.DOWNLINK: 0.0}
     failed = False

@@ -15,11 +15,12 @@ main cross-validation result.
 UE placement runs in lockstep over a block of realizations: each keeps its
 own generator and draws what placing it alone would draw, in the same
 order, while one vectorised rejection round serves the whole block.  A
-candidate is judged against its owner's neighbours within 2 r_max (one
-cKDTree.query_pairs per realization, where they fit the block budget); a
-realization with too many neighbour pairs, and a decision within a
-relative 1e-12 of a tie, between two BSs or at the distance bound, go to
-that realization's cKDTree.query, so every decision is the tree's own.
+candidate is judged against its owner's neighbours within 2 r_max, listed
+from a uniform cell grid where they fit the block budget; a realization
+with too many neighbour pairs, and a decision within a relative 1e-12 of a
+tie, between two BSs or at the distance bound, go to a cKDTree.query of
+that realization, so every decision is the tree's own.  A realization's
+tree, and scipy.spatial with it, is built only when a candidate first asks.
 
 Links are assembled per realization and direction as one block: the
 (links x BSs) distances and fading gains of all core links at once, the
@@ -63,10 +64,10 @@ __all__ = [
 
 
 # BSs plus directed neighbour pairs per block of realizations placed in
-# lockstep (about 6 at the reference config).  A realization whose BSs and
+# lockstep (about 21 at the reference config).  A realization whose BSs and
 # pairs, expected or listed, pass it lists none and asks its k-d tree every
 # round; its BSs count alone, so a round holds O(_BLOCK_ENTRIES + BSs).
-_BLOCK_ENTRIES = 30_000
+_BLOCK_ENTRIES = 120_000
 # Relative gap of squared distances within which cKDTree.query decides a
 # candidate; rounding is far smaller, so every decision is the tree's own.
 _TIE_TOL = 1e-12
@@ -222,50 +223,53 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
 def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict:
     # Realizations start, start + 1, ... before stop, until the block holds
     # _BLOCK_ENTRIES: (p, cfg, index) -> realization, or its StarvationError.
-    from scipy.spatial import cKDTree  # deferred: only simulations need it
-
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
     # the owner lies within r_max; the margin absorbs coordinate rounding
     bound = r_max_km * (1 + 1e-9)
     # a BS nearer a candidate than the owner lies within 2 r_max of it;
     # the expected such neighbours of a BS, an overcount near the edges
     per_bs = p.lambda_bs * math.pi * (2 * bound) ** 2
-    block, pairs = [], [np.empty((0, 2), dtype=np.intp)]
-    n_total = entries = 0
+    block = []
+    entries = 0
     for idx in range(start, stop):
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
         n_bs = int(rng.poisson(p.lambda_bs * cfg.region_side ** 2))
         bs = rng.random((n_bs, 2)) * cfg.region_side
-        tree = cKDTree(bs)
         # list the pairs only where they are expected to fit the budget,
-        # and do; other realizations ask their tree every round
-        untabulated = n_bs * (1 + per_bs) > _BLOCK_ENTRIES
-        if not untabulated:
-            near = tree.query_pairs(2 * bound, output_type="ndarray") + n_total
-            untabulated = n_bs + 2 * near.shape[0] > _BLOCK_ENTRIES
-            if not untabulated:
-                pairs.append(near)
+        # and do; other realizations ask a k-d tree
+        near = None
+        if n_bs * (1 + per_bs) <= _BLOCK_ENTRIES:
+            near = _near_pairs(bs, 2 * bound, cfg.region_side)
+            if n_bs + 2 * near.shape[0] > _BLOCK_ENTRIES:
+                near = None
+            else:
                 entries += 2 * near.shape[0]
-        block.append((idx, rng, bs, tree, untabulated))
-        n_total += n_bs
+        block.append((near is None, idx, rng, bs, near))
         entries += n_bs
         if entries >= _BLOCK_ENTRIES:
             break
-    used, rngs, positions, trees, asks_tree = zip(*block)
+    # realizations that listed their pairs first: their BSs are the rows
+    # before n_listed, and lead every round's arrays
+    block.sort(key=lambda entry: entry[0])
+    asks_tree, used, rngs, positions, nears = zip(*block)
+    trees = [None] * len(used)   # built when a candidate first asks
 
     sizes = np.array([bs.shape[0] for bs in positions])
     starts = np.cumsum(sizes) - sizes
+    n_total = int(sizes.sum())
+    n_listed = int(sizes[~np.array(asks_tree)].sum())
     owner_block = np.repeat(np.arange(len(used)), sizes)
-    by_tree = np.repeat(asks_tree, sizes)
     bx, by = np.concatenate(positions).T.copy()
-    # one row per (unserved BS, neighbour) of the tabulated realizations:
+    # one row per (unserved BS, neighbour) of the listing realizations:
     # the BS's slot in ``unserved`` and the neighbour's coordinates
-    lo, hi = np.concatenate(pairs).T
+    lo, hi = np.concatenate(
+        [near + s for near, s in zip(nears, starts) if near is not None]
+        + [np.empty((0, 2), dtype=np.intp)]).T
     slot = np.concatenate((lo, hi))
     px = np.concatenate((bx[hi], bx[lo]))
     py = np.concatenate((by[hi], by[lo]))
-    del pairs, lo, hi   # free them: the rounds need only these rows
+    del nears, lo, hi   # free them: the rounds need only these rows
 
     ue = np.zeros((n_total, 2))
     dist = np.zeros(n_total)
@@ -284,27 +288,42 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         cx = ox + radius * np.cos(angle)
         cy = oy + radius * np.sin(angle)
         inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
-        d_own = _sum_sq(ox - cx, oy - cy)
-        # squared distance to the nearest other BS (or the bound), less d_own
-        gap = np.full(unserved.size, bound * bound)
-        np.minimum.at(gap, slot, _sum_sq(cx[slot] - px, cy[slot] - py))
-        gap -= d_own
-        margin = _TIE_TOL * d_own
-        tree_rows = by_tree[unserved]
-        ok = inside & ~tree_rows & (gap > margin)
-        ask = inside & (tree_rows | (np.abs(gap) <= margin))
-        # near ties and untabulated realizations are the tree's to decide
-        for j in np.unique(owner[ask]).tolist():
-            t = np.flatnonzero(ask & (owner == j))
+        ok = np.zeros(unserved.size, dtype=bool)
+        ask = inside
+        # rows before k have neighbour rows, the others skip this
+        k = int(np.searchsorted(unserved, n_listed))
+        if k:
+            # squared distance to the nearest other BS (or the bound),
+            # less d_own
+            d_own = _sum_sq(ox[:k] - cx[:k], oy[:k] - cy[:k])
+            gap = np.full(k, bound * bound)
+            np.minimum.at(gap, slot, _sum_sq(cx[slot] - px, cy[slot] - py))
+            gap -= d_own
+            margin = _TIE_TOL * d_own
+            ok[:k] = inside[:k] & (gap > margin)
+            ask[:k] &= np.abs(gap) <= margin
+        # near ties and the rows from k on are the trees' to decide, one
+        # query per realization (rows are sorted by realization)
+        asked = np.flatnonzero(ask)
+        own = owner[asked]
+        head = 0
+        while head < asked.size:
+            j = int(own[head])
+            end = int(np.searchsorted(own, j, side="right"))
+            t = asked[head:end]
+            if trees[j] is None:
+                from scipy.spatial import cKDTree  # deferred: few runs ask
+                trees[j] = cKDTree(positions[j])
             _, nearest = trees[j].query(np.column_stack((cx[t], cy[t])),
                                         distance_upper_bound=bound)
             ok[t] = nearest == unserved[t] - starts[j]
+            head = end
         won = unserved[ok]
         ue[won, 0], ue[won, 1], dist[won] = cx[ok], cy[ok], radius[ok]
         keep = ~ok
         unserved = unserved[keep]
         rows = keep[slot]
-        slot = (np.cumsum(keep) - 1)[slot[rows]]
+        slot = (np.cumsum(keep[:k]) - 1)[slot[rows]]
         px, py = px[rows], py[rows]
 
     left = np.bincount(owner_block[unserved], minlength=len(used))
@@ -321,6 +340,40 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
             positions[j], ue[span].copy(), p.rho * (M_PER_KM * d) ** p.eta, d,
             cfg.region_side, cfg.core_side)
     return out
+
+
+def _near_pairs(pos: np.ndarray, r: float, side: float) -> np.ndarray:
+    """Rows (i, j), i < j, of the points of [0, side]^2 within r > 0.
+
+    The set ``cKDTree(pos).query_pairs(r)`` lists (squared distance at most
+    r^2), in another row order.  The points are binned on a uniform grid of
+    cells of side at least r, padded by one cell on each axis, and each
+    point meets the later points of its own cell and the points of four
+    forward neighbours, so that every pair within r is examined once.
+    """
+    n = pos.shape[0]
+    # cells per axis: of side >= r with room for rounding, and no more
+    # cells than about one per point
+    per_axis = max(1, min(int(side / (r * (1 + 1e-9))), math.isqrt(n) + 1))
+    cell = np.minimum((pos * (per_axis / side)).astype(np.intp), per_axis - 1) + 1
+    width = per_axis + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    count = np.bincount(key, minlength=width * width)
+    first = np.cumsum(count) - count   # where each cell starts in ``order``
+    # in cell order, point i meets the rows [lo, hi) of ``order`` in its own
+    # cell after itself, the cell above, and the three of the next column
+    near = key[order, None] + np.array([0, 1, width - 1, width, width + 1])
+    lo = first[near]
+    hi = lo + count[near]
+    lo[:, 0] = np.arange(1, n + 1)
+    m = (hi - lo).ravel()
+    a = np.repeat(np.arange(n), m.reshape(n, 5).sum(axis=1))
+    b = np.repeat(lo.ravel() - (np.cumsum(m) - m), m) + np.arange(a.size)
+    x, y = pos[order].T
+    keep = _sum_sq(x[a] - x[b], y[a] - y[b]) <= r * r
+    a, b = order[a[keep]], order[b[keep]]
+    return np.column_stack((np.minimum(a, b), np.maximum(a, b)))
 
 
 def _sum_sq(dx, dy):
@@ -434,15 +487,16 @@ def _pooled(direction: Direction, alpha: float, vals: np.ndarray,
 
 
 def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
-                 pulses: PulsePair) -> list:
+                 pulses: PulsePair, *, factors=None) -> list:
     """Empirical BER/throughput for both directions at every alpha.
 
     Links are collected from BSs (uplink) and active UEs (downlink)
     inside the core window, pooled across realizations.  Geometry and
     gains are shared across alpha values (common random numbers); each
     alpha only reweights the stored interference sums by its factors.
-    Returns one uplink and one downlink EmpiricalMetrics per alpha, in
-    alpha_list order.
+    factors, when given, is interference_factor_grid(p.b_u, p.b_d, pulses,
+    alpha_list), already computed by the caller.  Returns one uplink and
+    one downlink EmpiricalMetrics per alpha, in alpha_list order.
     """
     alphas = [float(a) for a in alpha_list]
     if not alphas:
@@ -450,8 +504,10 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {a}")
-
-    facs = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
+    if factors is None:
+        factors = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
+    elif len(factors) != len(alphas):
+        raise ValueError("factors must hold one entry per alpha")
 
     ul_parts = []
     dl_parts = []
@@ -474,7 +530,7 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     w1_d, w2_d = p.omega(Direction.DOWNLINK)
 
     out = []
-    for a, fac in zip(alphas, facs):
+    for a, fac in zip(alphas, factors):
         sinr_u = _uplink_sinr_from_parts(*ul, fac, p, sigma_sq)
         vals_u = w1_u * erfc(np.sqrt(w2_u * sinr_u))
         out.append(_pooled(Direction.UPLINK, a, vals_u, p))

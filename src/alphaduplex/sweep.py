@@ -23,8 +23,8 @@ import numpy as np
 
 from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
-from .pulse import (BandPlan, PulsePair, interference_factor_grid,
-                    interference_factors, make_pulses)
+from .pulse import (BandPlan, InterferenceFactors, PulsePair,
+                    interference_factor_grid, interference_factors, make_pulses)
 
 __all__ = [
     "NoCrossingError",
@@ -112,7 +112,10 @@ class SweepResult:
 
     def evaluate(self, alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
         """Both-direction metrics at ``alpha`` for this sweep's inputs."""
-        return _evaluate_point(self.params, self.pulses, float(alpha))
+        alpha = float(alpha)
+        plan = BandPlan(self.params.b_u, self.params.b_d, alpha)
+        factors = interference_factors(plan, *make_pulses(self.pulses, plan))
+        return _evaluate_point(self.params, alpha, factors)
 
     def table(self) -> tuple[tuple[float, float, float, float, float], ...]:
         """Rows of (alpha, t_ul, t_dl, ber_ul, ber_dl)."""
@@ -188,10 +191,8 @@ def _pct(new: float, base: float) -> float:
     return 100.0 * (new - base) / base
 
 
-def _evaluate_point(params: SystemParams, pulses: PulsePair,
-                    alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
-    plan = BandPlan(params.b_u, params.b_d, alpha)
-    factors = interference_factors(plan, *make_pulses(pulses, plan))
+def _evaluate_point(params: SystemParams, alpha: float,
+                    factors: InterferenceFactors) -> tuple[LinkMetrics, LinkMetrics]:
     return (ber_uplink(alpha, factors, params),
             ber_downlink(alpha, factors, params))
 

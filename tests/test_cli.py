@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from alphaduplex import cli, sweep
+from alphaduplex import cli, montecarlo, sweep
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.cli import (
     EXIT_CONFIG,
@@ -230,7 +230,7 @@ class TestCommands:
         assert float(summary[0].split("=")[1]) <= 0.02
 
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
-        def fake_campaign(params, sim, alphas, pulses):
+        def fake_campaign(params, sim, alphas, pulses, factors=None):
             out = []
             for alpha in alphas:
                 for direction in (Direction.UPLINK, Direction.DOWNLINK):
@@ -403,6 +403,34 @@ class TestErrorHandling:
         run = (f"rc = cli.main([{command!r}, '--alpha-grid', '0:1:0.1', "
                f"'--out', {str(tmp_path)!r}]); assert rc == 0")
         assert _scipy_modules_after(run) == []
+
+    def test_reference_validate_loads_no_scipy_spatial(self, tmp_path):
+        # neighbour pairs come from the cell grid, and no realization of
+        # the reference config asks a k-d tree
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\nn_realizations = 20\n")
+        run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
+               f"'--out', {str(tmp_path)!r}]); assert rc == 0")
+        loaded = _scipy_modules_after(run)
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.spatial") for m in loaded)
+
+    def test_eta3_simulate_asks_the_k_d_tree(self, tmp_path, monkeypatch):
+        # at eta = 3 the realizations list no pairs and ask cKDTree.query;
+        # the output equals a campaign placed by the per-round oracle
+        from mc_oracles import sample_realization_per_round
+
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\neta = 3\n[sim]\nn_realizations = 2\n")
+        args = ["simulate", "--config", str(ini), "--alpha-grid", "0:1:0.5"]
+        run = (f"rc = cli.main({args + ['--out', str(tmp_path / 'got')]!r}); "
+               "assert rc == 0")
+        assert "scipy.spatial" in _scipy_modules_after(run)
+        monkeypatch.setattr(montecarlo, "sample_realization",
+                            sample_realization_per_round)
+        assert cli.main(args + ["--out", str(tmp_path / "want")]) == EXIT_OK
+        assert ((tmp_path / "got" / "simulate.csv").read_bytes()
+                == (tmp_path / "want" / "simulate.csv").read_bytes())
 
     def test_general_eta_loads_scipy_special(self, tmp_path):
         ini = tmp_path / "cfg.ini"

@@ -146,7 +146,7 @@ class TestLockstepPlacement:
 
     @pytest.mark.parametrize("seed", [1, 5, 23])
     def test_bit_equal_across_block_boundaries(self, seed, monkeypatch):
-        cfg = SimConfig(n_realizations=20, seed=seed)
+        cfg = SimConfig(n_realizations=50, seed=seed)
         blocks = count_blocks(monkeypatch)
         for idx in range(cfg.n_realizations):
             assert_same_realization(sample_realization(REF, cfg, idx),
@@ -219,19 +219,20 @@ class TestLockstepPlacement:
 
     def test_untabulated_realizations_ask_the_tree(self, monkeypatch):
         # eta = 2.5 gives r_max = 10 km: about 100 BSs on 400 km^2, nearly
-        # all of them neighbours.  Realizations with more than about 98
-        # BSs are expected to pass _BLOCK_ENTRIES and list no pairs, the
-        # others list theirs; both kinds share blocks
+        # all of them neighbours.  Under a budget of 30,000 entries,
+        # realizations with more than about 98 BSs are expected to pass it
+        # and list no pairs, the others list theirs; both kinds share blocks
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 30_000)
         wide = dataclasses.replace(REF, eta=2.5, lambda_bs=0.245)
         cfg = SimConfig(n_realizations=8, seed=1)
         listed = []
+        near_pairs = montecarlo._near_pairs
 
-        class CountingTree(spatial.cKDTree):
-            def query_pairs(self, *args, **kwargs):
-                listed.append(self.n)
-                return super().query_pairs(*args, **kwargs)
+        def counted(pos, *args):
+            listed.append(pos.shape[0])
+            return near_pairs(pos, *args)
 
-        monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(montecarlo, "_near_pairs", counted)
         blocks = count_blocks(monkeypatch)
         reals = [sample_realization(wide, cfg, i) for i in range(8)]
         assert 0 < len(listed) < 8 and max(blocks) > 1
@@ -331,6 +332,54 @@ class TestLockstepPlacement:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             sample_realization(REF, SimConfig(n_realizations=1, seed=1), -1)
+
+
+def assert_pairs_as_k_d_tree(pos, r, side=20.0):
+    got = montecarlo._near_pairs(np.asarray(pos, dtype=float), r, side)
+    want = spatial.cKDTree(np.reshape(pos, (-1, 2))).query_pairs(r)
+    assert got.shape == (len(want), 2) and np.all(got[:, 0] < got[:, 1])
+    assert set(map(tuple, got.tolist())) == want
+
+
+class TestNearPairs:
+    """The cell-grid pair listing against cKDTree.query_pairs, as sets."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_few_points(self, n):
+        pos = np.random.default_rng(n).random((n, 2)) * 20.0
+        for r in (0.1, 5.0, 30.0):
+            assert_pairs_as_k_d_tree(pos, r)
+
+    @pytest.mark.parametrize("n, r", [(1_200, 0.64), (1_200, 3.0),
+                                      (12_000, 0.2), (12_000, 0.64)])
+    def test_random_points(self, n, r):
+        pos = np.random.default_rng(n).random((n, 2)) * 20.0
+        assert_pairs_as_k_d_tree(pos, r)
+
+    def test_points_on_the_region_edges(self):
+        edges = [[0.0, 0.0], [20.0, 20.0], [0.0, 20.0], [20.0, 0.0],
+                 [0.0, 10.0], [20.0, 10.0], [10.0, 0.0], [10.0, 20.0],
+                 [0.3, 0.2], [19.7, 19.9]]
+        for r in (0.5, 1.0, 10.0, 20.0):
+            assert_pairs_as_k_d_tree(edges, r)
+
+    def test_duplicate_points(self):
+        pos = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [7.0, 3.0], [7.0, 3.0]]
+        assert_pairs_as_k_d_tree(pos, 0.5)
+        assert montecarlo._near_pairs(np.array(pos), 0.5, 20.0).shape == (4, 2)
+
+    def test_pair_at_exactly_r(self):
+        # 3-4-5 and a horizontal pair: squared distances equal r^2 exactly
+        pos = [[2.0, 2.0], [5.0, 6.0], [12.0, 1.0], [17.0, 1.0]]
+        assert_pairs_as_k_d_tree(pos, 5.0)
+        assert montecarlo._near_pairs(np.array(pos), 5.0, 20.0).shape == (2, 2)
+        assert_pairs_as_k_d_tree(pos, np.nextafter(5.0, 0.0))
+
+    @pytest.mark.parametrize("r", [20.0, 28.0, 1e6])
+    def test_radius_at_least_the_region(self, r):
+        pos = np.random.default_rng(3).random((300, 2)) * 20.0
+        assert_pairs_as_k_d_tree(pos, r)
+        assert_pairs_as_k_d_tree([[0.0, 0.0], [20.0, 20.0]], r)
 
 
 class TestSinr:
