@@ -218,12 +218,11 @@ class TestLockstepPlacement:
                                     sample_realization_per_round(REF, cfg, idx))
 
     def test_untabulated_realizations_ask_the_tree(self, monkeypatch):
-        # eta = 2.5 gives r_max = 10 km: about 100 BSs on 400 km^2, nearly
-        # all of them neighbours.  Under a budget of 30,000 entries,
-        # realizations with more than about 98 BSs are expected to pass it
-        # and list no pairs, the others list theirs; both kinds share blocks
-        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 30_000)
-        wide = dataclasses.replace(REF, eta=2.5, lambda_bs=0.245)
+        # eta = 2.5 gives r_max = 10 km: about 196 BSs on 400 km^2, nearly
+        # all of them neighbours.  Realizations with more than about 195
+        # BSs are expected to pass _BLOCK_ENTRIES and list no pairs, the
+        # others list theirs; both kinds share blocks
+        wide = dataclasses.replace(REF, eta=2.5, lambda_bs=0.49)
         cfg = SimConfig(n_realizations=8, seed=1)
         listed = []
         near_pairs = montecarlo._near_pairs
