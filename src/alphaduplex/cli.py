@@ -71,74 +71,48 @@ class RunConfig:
     refine_tol: float = 1e-9
 
 
-def _strip_unit(raw: str, units: dict[str, float]) -> float:
-    """Parse '<number> [unit]' with multiplicative unit conversion."""
-    text = raw.strip()
-    for suffix, scale in units.items():
-        if suffix and text.lower().endswith(suffix.lower()):
-            head = text[: -len(suffix)].strip()
-            return float(head) * scale
-    return float(text)
+def _unit_parser(quantity: str, units: dict, hint: str):
+    """Parser of '<number> [unit]' for one physical quantity.
+
+    units maps each suffix, in match order and case-insensitively, to its
+    conversion: a function of the number or a multiplicative scale.  A
+    bare number passes through.
+    """
+    def parse(raw: str, key: str) -> float:
+        text = raw.strip()
+        try:
+            for suffix, convert in units.items():
+                if text.lower().endswith(suffix):
+                    value = float(text[: -len(suffix)].strip())
+                    return (convert(value) if callable(convert)
+                            else value * convert)
+            return float(text)
+        except (ValueError, OverflowError):   # 10 ** x beyond a double
+            raise ConfigError(f"{key}: cannot parse {quantity} value {raw!r} "
+                              f"({hint})") from None
+    return parse
 
 
-def _parse_power(raw: str, key: str) -> float:
-    text = raw.strip()
-    try:
-        if text.lower().endswith("dbm"):
-            return dbm_to_watts(float(text[:-3].strip()))
-        return _strip_unit(text, {"mw": 1e-3, "w": 1.0})
-    except (ValueError, OverflowError):   # 10 ** x beyond a double
-        raise ConfigError(f"{key}: cannot parse power value {raw!r} "
-                          "(use W, mW, or dBm)") from None
+def _number_parser(convert, kind: str):
+    def parse(raw: str, key: str):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {kind} {raw!r}") from None
+    return parse
 
 
-def _parse_ratio(raw: str, key: str) -> float:
-    text = raw.strip()
-    try:
-        if text.lower().endswith("db"):
-            return db_to_linear(float(text[:-2].strip()))
-        return float(text)
-    except (ValueError, OverflowError):   # 10 ** x beyond a double
-        raise ConfigError(f"{key}: cannot parse ratio value {raw!r} "
-                          "(use a linear value or dB)") from None
-
-
-def _parse_frequency(raw: str, key: str) -> float:
-    try:
-        return _strip_unit(raw, {"ghz": 1e9, "mhz": 1e6, "khz": 1e3, "hz": 1.0})
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse frequency value {raw!r} "
-                          "(use Hz, kHz, MHz, or GHz)") from None
-
-
-def _parse_density(raw: str, key: str) -> float:
-    try:
-        return _strip_unit(raw, {"/km2": 1.0})
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse density value {raw!r} "
-                          "(per km2)") from None
-
-
-def _parse_length_km(raw: str, key: str) -> float:
-    try:
-        return _strip_unit(raw, {"km": 1.0})
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse length value {raw!r} "
-                          "(km)") from None
-
-
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse number {raw!r}") from None
-
-
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse integer {raw!r}") from None
+_parse_power = _unit_parser("power", {"dbm": dbm_to_watts, "mw": 1e-3,
+                                      "w": 1.0}, "use W, mW, or dBm")
+_parse_ratio = _unit_parser("ratio", {"db": db_to_linear},
+                            "use a linear value or dB")
+_parse_frequency = _unit_parser("frequency", {"ghz": 1e9, "mhz": 1e6,
+                                              "khz": 1e3, "hz": 1.0},
+                                "use Hz, kHz, MHz, or GHz")
+_parse_density = _unit_parser("density", {"/km2": 1.0}, "per km2")
+_parse_length_km = _unit_parser("length", {"km": 1.0}, "km")
+_parse_float = _number_parser(float, "number")
+_parse_int = _number_parser(int, "integer")
 
 
 def _parse_pulse(raw: str, key: str) -> PulseKind:
@@ -287,7 +261,11 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.outputs, exist_ok=True)
+    try:
+        os.makedirs(cfg.outputs, exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory "
+                          f"{cfg.outputs!r}: {exc}") from None
     return os.path.join(cfg.outputs, name)
 
 
@@ -426,9 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
         cfg = parse_config(text)
     else:

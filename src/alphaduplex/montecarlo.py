@@ -57,8 +57,6 @@ __all__ = [
     "NetworkRealization",
     "EmpiricalMetrics",
     "sample_realization",
-    "sinr_uplink",
-    "sinr_downlink",
     "run_campaign",
 ]
 
@@ -421,6 +419,8 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
 
 def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
                             p: SystemParams, sigma_sq: float):
+    # rho h0 (exact inversion) over cross-scaled DL, co-channel UL,
+    # residual self-interference beta P_b |I_s|^2 and noise
     denom = (factors.i_du_sq * bs_sum + factors.i_uu_sq * ue_sum
              + p.beta * p.p_b * factors.i_su_sq + sigma_sq)
     return p.rho * h0 / denom
@@ -429,49 +429,12 @@ def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
 def _downlink_sinr_from_parts(h0, bs_sum, ue_sum, r_o_m, own_tx,
                               factors: InterferenceFactors, p: SystemParams,
                               sigma_sq: float):
+    # P_b h0 r_o^-eta over co-channel DL, cross-scaled UL, residual
+    # self-interference beta P_u_o |I_s|^2 at the UE's own power and noise
     num = p.p_b * h0 * r_o_m ** -p.eta
     denom = (factors.i_dd_sq * bs_sum + factors.i_ud_sq * ue_sum
              + p.beta * own_tx * factors.i_sd_sq + sigma_sq)
     return num / denom
-
-
-def sinr_uplink(test_bs: int, real: NetworkRealization,
-                factors: InterferenceFactors, p: SystemParams,
-                rng=None) -> float:
-    """Conditional uplink SINR at BS test_bs with fresh Exp(1) gains.
-
-    Numerator rho h0 (exact channel inversion); denominator adds the
-    cross-scaled DL interference of every other BS, the co-channel UL
-    interference of every other active UE, the constant residual
-    self-interference beta P_b |I_s|^2, and noise.
-    """
-    if not 0 <= test_bs < real.n_bs:
-        raise IndexError(f"test_bs {test_bs} outside [0, {real.n_bs})")
-    rng = np.random.default_rng() if rng is None else rng
-    link = np.array([test_bs])
-    parts = _link_parts(real.bs_positions[link], link, real, p, rng)
-    sigma_sq = noise_variance(p).sigma_n_sq
-    return float(_uplink_sinr_from_parts(*parts, factors, p, sigma_sq)[0])
-
-
-def sinr_downlink(test_ue: int, real: NetworkRealization,
-                  factors: InterferenceFactors, p: SystemParams,
-                  rng=None) -> float:
-    """Conditional downlink SINR at the active UE of BS test_ue.
-
-    Numerator P_b h0 r_o^-eta; denominator adds co-channel DL
-    interference of other BSs, cross-scaled UL interference of other
-    active UEs, residual self-interference beta P_u_o |I_s|^2 with the
-    UE's own inversion power, and noise.
-    """
-    if not 0 <= test_ue < real.n_bs:
-        raise IndexError(f"test_ue {test_ue} outside [0, {real.n_bs})")
-    rng = np.random.default_rng() if rng is None else rng
-    link = np.array([test_ue])
-    parts = _link_parts(real.ue_positions[link], link, real, p, rng) + (
-        M_PER_KM * real.serving_distance[link], real.tx_power[link])
-    sigma_sq = noise_variance(p).sigma_n_sq
-    return float(_downlink_sinr_from_parts(*parts, factors, p, sigma_sq)[0])
 
 
 def _pooled(direction: Direction, alpha: float, vals: np.ndarray,

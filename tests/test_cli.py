@@ -44,6 +44,64 @@ def _scipy_modules_after(code):
     return ast.literal_eval(out.strip().splitlines()[-1])
 
 
+# every unit suffix in lower and upper case, and bare numbers, as parsed
+UNIT_VALUES = [
+    ("rho", "30 dBm", 1.0), ("rho", "30 dbm", 1.0), ("rho", "30 DBM", 1.0),
+    ("rho", "-70 dBm", 1e-10),
+    ("p_b", "5 mW", 0.005), ("p_b", "5 mw", 0.005), ("p_b", "5 MW", 0.005),
+    ("n0", "2 W", 2.0), ("n0", "2 w", 2.0), ("p_u_max", "0.25", 0.25),
+    ("beta", "-80 dB", 1e-08), ("beta", "20 db", 100.0),
+    ("beta", "-30 DB", 0.001), ("beta", "0.5", 0.5),
+    ("b_u", "1.5 GHz", 1.5e9), ("b_u", "1.5 ghz", 1.5e9),
+    ("b_u", "1.5 GHZ", 1.5e9), ("b_d", "2 MHz", 2e6), ("b_d", "2 mhz", 2e6),
+    ("b_d", "2 MHZ", 2e6), ("b_u", "3 kHz", 3000.0), ("b_u", "3 khz", 3000.0),
+    ("b_u", "3 KHZ", 3000.0), ("b_d", "7 Hz", 7.0), ("b_d", "7 hz", 7.0),
+    ("b_d", "7 HZ", 7.0), ("b_u", "1e6", 1e6), ("b_u", "1e999 Hz", math.inf),
+    ("lambda_bs", "3 /km2", 3.0), ("lambda_bs", "3 /KM2", 3.0),
+    ("lambda_bs", "2.5", 2.5),
+    ("region_side", "20 km", 20.0), ("core_side", "2 KM", 2.0),
+    ("region_side", "12.5", 12.5),
+    ("eta", "4", 4.0), ("omega2_d", "0.5", 0.5), ("m_symbols", "2", 2),
+    ("n_realizations", "300", 300), ("seed", " 7 ", 7),
+]
+
+MALFORMED = [   # (key, value, the full message)
+    ("lambda_bs", "lots", "lambda_bs: cannot parse density value 'lots' (per km2)"),
+    ("eta", "lots", "eta: cannot parse number 'lots'"),
+    ("rho", "lots", "rho: cannot parse power value 'lots' (use W, mW, or dBm)"),
+    ("p_b", "lots", "p_b: cannot parse power value 'lots' (use W, mW, or dBm)"),
+    ("p_u_max", "lots",
+     "p_u_max: cannot parse power value 'lots' (use W, mW, or dBm)"),
+    ("beta", "lots",
+     "beta: cannot parse ratio value 'lots' (use a linear value or dB)"),
+    ("n0", "lots", "n0: cannot parse power value 'lots' (use W, mW, or dBm)"),
+    ("b_u", "lots",
+     "b_u: cannot parse frequency value 'lots' (use Hz, kHz, MHz, or GHz)"),
+    ("b_d", "lots",
+     "b_d: cannot parse frequency value 'lots' (use Hz, kHz, MHz, or GHz)"),
+    ("omega1_u", "lots", "omega1_u: cannot parse number 'lots'"),
+    ("omega2_u", "lots", "omega2_u: cannot parse number 'lots'"),
+    ("omega1_d", "lots", "omega1_d: cannot parse number 'lots'"),
+    ("omega2_d", "lots", "omega2_d: cannot parse number 'lots'"),
+    ("m_symbols", "lots", "m_symbols: cannot parse integer 'lots'"),
+    ("n_realizations", "lots", "n_realizations: cannot parse integer 'lots'"),
+    ("seed", "lots", "seed: cannot parse integer 'lots'"),
+    ("region_side", "lots", "region_side: cannot parse length value 'lots' (km)"),
+    ("core_side", "lots", "core_side: cannot parse length value 'lots' (km)"),
+    ("candidate_cap", "lots", "candidate_cap: cannot parse integer 'lots'"),
+    # 10 ** 400 overflows a double; unknown or missing numbers
+    ("rho", "4000 dBm",
+     "rho: cannot parse power value '4000 dBm' (use W, mW, or dBm)"),
+    ("beta", "4000 dB",
+     "beta: cannot parse ratio value '4000 dB' (use a linear value or dB)"),
+    ("p_b", "5 kW", "p_b: cannot parse power value '5 kW' (use W, mW, or dBm)"),
+    ("n0", "W", "n0: cannot parse power value 'W' (use W, mW, or dBm)"),
+    ("b_d", "1 THz",
+     "b_d: cannot parse frequency value '1 THz' (use Hz, kHz, MHz, or GHz)"),
+    ("m_symbols", "2.0", "m_symbols: cannot parse integer '2.0'"),
+]
+
+
 class TestParseConfig:
     def test_empty_document_gives_reference_defaults(self):
         cfg = parse_config("")
@@ -110,6 +168,23 @@ class TestParseConfig:
             parse_config("[params]\nrho = lots\n")
         with pytest.raises(ConfigError, match="n_realizations"):
             parse_config("[sim]\nn_realizations = many\n")
+
+    @pytest.mark.parametrize("key, raw, expected", UNIT_VALUES)
+    def test_converted_values(self, key, raw, expected):
+        parse = {**cli._PARAM_PARSERS, **cli._SIM_PARSERS}[key]
+        value = parse(raw, key)
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("key, raw, message", MALFORMED)
+    def test_malformed_value_messages(self, key, raw, message):
+        section = "params" if key in cli._PARAM_PARSERS else "sim"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+        assert str(exc.value) == message
+
+    def test_every_key_has_a_malformed_case(self):
+        keys = [*cli._PARAM_PARSERS, *cli._SIM_PARSERS]
+        assert [key for key, raw, _ in MALFORMED if raw == "lots"] == keys
 
 
 class TestAlphaGrid:
@@ -354,6 +429,27 @@ class TestErrorHandling:
                        "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_bytes("[params]\neta = 4  # µ\n".encode("latin-1"))
+        rc = cli.main(["analytic", "--config", str(ini), "--out",
+                       str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and str(ini) in err["message"]
+
+    @pytest.mark.parametrize("out", ["file", "file/below"])
+    def test_out_path_through_a_file(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("not a directory\n")
+        rc = cli.main(["factors", "--out", str(tmp_path / out),
+                       "--alpha-grid", "0:0:1"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and out in err["message"]
+        assert (tmp_path / "file").read_text() == "not a directory\n"
 
     def test_bad_flag_values(self, tmp_path, capsys):
         assert cli.main(["analytic", "--out", str(tmp_path),

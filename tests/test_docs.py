@@ -1,5 +1,6 @@
 """The demos and the README's Python blocks import only names that exist,
-and the README's configuration example parses.
+the README's configuration example parses, and every module's __all__
+names attributes the module defines.
 
 Each source is parsed, not run, so the check is fast and needs neither
 matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
@@ -9,11 +10,13 @@ must name a module the package has and attributes that module defines.
 import ast
 import dataclasses
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import alphaduplex
 from alphaduplex.cli import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +62,18 @@ def test_readme_config_example_is_the_reference_scenario():
         # dBm and dB spellings may differ from the defaults in the last bit
         assert getattr(cfg.params, field.name) == pytest.approx(
             getattr(ref.params, field.name), rel=1e-15)
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(alphaduplex.__path__)
+                 if m.name != "__main__")
+
+
+def test_modules_found():
+    assert {"cli", "montecarlo", "sweep"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_defined(name):
+    module = importlib.import_module(f"alphaduplex.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"alphaduplex.{name}.__all__ lists undefined {missing}"

@@ -32,8 +32,6 @@ from alphaduplex.montecarlo import (
     _link_parts,
     run_campaign,
     sample_realization,
-    sinr_downlink,
-    sinr_uplink,
 )
 from alphaduplex.pulse import (
     BandPlan,
@@ -381,50 +379,6 @@ class TestNearPairs:
         assert_pairs_as_k_d_tree([[0.0, 0.0], [20.0, 20.0]], r)
 
 
-class TestSinr:
-    def test_single_bs_uplink_reduces_to_snr(self):
-        real = single_bs_realization()
-        p0 = dataclasses.replace(REF, beta=0.0)
-        sinr = sinr_uplink(0, real, ZERO, p0, rng=np.random.default_rng(5))
-        h0 = float(np.random.default_rng(5).exponential())
-        expected = p0.rho * h0 / noise_variance(p0).sigma_n_sq
-        assert sinr == pytest.approx(expected, rel=1e-12)
-
-    def test_single_bs_downlink_reduces_to_snr(self):
-        real = single_bs_realization(serving_km=0.1)
-        p0 = dataclasses.replace(REF, beta=0.0)
-        sinr = sinr_downlink(0, real, ZERO, p0, rng=np.random.default_rng(6))
-        h0 = float(np.random.default_rng(6).exponential())
-        expected = p0.p_b * h0 * 100.0 ** -p0.eta / noise_variance(p0).sigma_n_sq
-        assert sinr == pytest.approx(expected, rel=1e-12)
-
-    def test_uplink_independent_of_bs_power_when_decoupled(self):
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
-        test_bs = int(real.core_bs_indices()[0])
-        fac = InterferenceFactors.from_cross(0.0, 0.4)
-        p0 = dataclasses.replace(REF, beta=0.0)
-        p_big = dataclasses.replace(p0, p_b=50.0)
-        a = sinr_uplink(test_bs, real, fac, p0, rng=np.random.default_rng(8))
-        b = sinr_uplink(test_bs, real, fac, p_big, rng=np.random.default_rng(8))
-        assert a == b
-
-    def test_downlink_ratio_homogeneity(self):
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 1)
-        test_ue = int(real.core_ue_indices()[0])
-        p0 = dataclasses.replace(REF, beta=0.0)
-        p_scaled = dataclasses.replace(p0, p_b=7.0 * p0.p_b, n0=7.0 * p0.n0)
-        a = sinr_downlink(test_ue, real, ZERO, p0, rng=np.random.default_rng(8))
-        b = sinr_downlink(test_ue, real, ZERO, p_scaled, rng=np.random.default_rng(8))
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_index_bounds_checked(self):
-        real = single_bs_realization()
-        with pytest.raises(IndexError):
-            sinr_uplink(1, real, ZERO, REF)
-        with pytest.raises(IndexError):
-            sinr_downlink(-1, real, ZERO, REF)
-
-
 def batched_link_parts(real, p, rng):
     """run_campaign's per-realization assembly, as (k, 3) and (k, 5) arrays."""
     bs = real.core_bs_indices()
@@ -433,6 +387,51 @@ def batched_link_parts(real, p, rng):
     dl = _link_parts(real.ue_positions[ue], ue, real, p, rng) + (
         M_PER_KM * real.serving_distance[ue], real.tx_power[ue])
     return np.column_stack(ul), np.column_stack(dl)
+
+
+def core_sinrs(real, fac, p, rng):
+    """Uplink and downlink SINRs of the core links, as run_campaign has them."""
+    ul, dl = batched_link_parts(real, p, rng)
+    sigma_sq = noise_variance(p).sigma_n_sq
+    return (montecarlo._uplink_sinr_from_parts(*ul.T, fac, p, sigma_sq),
+            montecarlo._downlink_sinr_from_parts(*dl.T, fac, p, sigma_sq))
+
+
+class TestSinr:
+    def test_single_bs_uplink_reduces_to_snr(self):
+        real = single_bs_realization()
+        p0 = dataclasses.replace(REF, beta=0.0)
+        sinr, _ = core_sinrs(real, ZERO, p0, np.random.default_rng(5))
+        h0 = float(np.random.default_rng(5).exponential())
+        expected = p0.rho * h0 / noise_variance(p0).sigma_n_sq
+        assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
+
+    def test_single_bs_downlink_reduces_to_snr(self):
+        real = single_bs_realization(serving_km=0.1)
+        p0 = dataclasses.replace(REF, beta=0.0)
+        _, sinr = core_sinrs(real, ZERO, p0, np.random.default_rng(6))
+        # the uplink link draws its one gain first
+        h0 = float(np.random.default_rng(6).exponential(size=2)[1])
+        expected = p0.p_b * h0 * 100.0 ** -p0.eta / noise_variance(p0).sigma_n_sq
+        assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
+
+    def test_uplink_independent_of_bs_power_when_decoupled(self):
+        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
+        fac = InterferenceFactors.from_cross(0.0, 0.4)
+        p0 = dataclasses.replace(REF, beta=0.0)
+        p_big = dataclasses.replace(p0, p_b=50.0)
+        a, _ = core_sinrs(real, fac, p0, np.random.default_rng(8))
+        b, _ = core_sinrs(real, fac, p_big, np.random.default_rng(8))
+        assert a.size >= 1 and np.array_equal(a, b)
+
+    def test_downlink_ratio_homogeneity(self):
+        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 1)
+        p0 = dataclasses.replace(REF, beta=0.0)
+        p_scaled = dataclasses.replace(p0, p_b=7.0 * p0.p_b, n0=7.0 * p0.n0)
+        _, a = core_sinrs(real, ZERO, p0, np.random.default_rng(8))
+        _, b = core_sinrs(real, ZERO, p_scaled, np.random.default_rng(8))
+        assert a.size >= 1
+        assert a.tolist() == pytest.approx(b.tolist(), rel=1e-12)
 
 
 class TestLinkAssembly:
@@ -498,16 +497,23 @@ class TestLinkAssembly:
             assert rng.bit_generator.state == before
 
     def test_sinr_views_match_oracle_parts(self):
+        # both helpers against the written-out SINRs on per-link oracle parts
         real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
         fac = InterferenceFactors.from_cross(0.3, 0.6)
         sigma_sq = noise_variance(REF).sigma_n_sq
-        b = int(real.core_bs_indices()[0])
-        ul, _ = link_parts_per_link(real, REF, np.random.default_rng(4))
-        h0, bs_sum, ue_sum = ul[0]
-        expected = REF.rho * h0 / (fac.i_du_sq * bs_sum + fac.i_uu_sq * ue_sum
-                                   + REF.beta * REF.p_b * fac.i_su_sq + sigma_sq)
-        got = sinr_uplink(b, real, fac, REF, rng=np.random.default_rng(4))
-        assert got == expected
+        ul, dl = link_parts_per_link(real, REF, np.random.default_rng(4))
+        assert ul.shape[0] >= 1 and dl.shape[0] >= 1
+        h0, bs_sum, ue_sum = ul.T
+        assert np.array_equal(
+            montecarlo._uplink_sinr_from_parts(*ul.T, fac, REF, sigma_sq),
+            REF.rho * h0 / (fac.i_du_sq * bs_sum + fac.i_uu_sq * ue_sum
+                            + REF.beta * REF.p_b * fac.i_su_sq + sigma_sq))
+        h0, bs_sum, ue_sum, r_o_m, own_tx = dl.T
+        assert np.array_equal(
+            montecarlo._downlink_sinr_from_parts(*dl.T, fac, REF, sigma_sq),
+            REF.p_b * h0 * r_o_m ** -REF.eta / (
+                fac.i_dd_sq * bs_sum + fac.i_ud_sq * ue_sum
+                + REF.beta * own_tx * fac.i_sd_sq + sigma_sq))
 
 
 class TestCampaign:
