@@ -51,6 +51,7 @@ BER_TOLERANCE = 0.02   # cross-validation gate, absolute BER units
 
 _DEFAULT_GRID = "0:1:0.1"
 _MAX_GRID_POINTS = 100_001
+_MAX_EXPECTED_BS = 1e6   # lambda_bs * region_side^2; the reference has 1200
 _DEFAULT_N_REALIZATIONS = 100
 _DEFAULT_SEED = 1
 
@@ -221,6 +222,12 @@ def parse_config(text: str) -> RunConfig:
         sim = SimConfig(**sim_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # float ** raises OverflowError where * gives inf
+    n_bs = params.lambda_bs * sim.region_side * sim.region_side
+    if not n_bs <= _MAX_EXPECTED_BS:
+        raise ConfigError(f"expected BSs per realization, lambda_bs * "
+                          f"region_side^2 = {n_bs:g}, must be at most "
+                          f"{_MAX_EXPECTED_BS:g}")
 
     pulse_kwargs = {"uplink": PulseKind.TRIANGULAR,
                     "downlink": PulseKind.RECTANGULAR}
@@ -246,8 +253,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open_out(path: str):
+    try:   # newline="": "\n" endings on every platform
+        return open(path, "w", newline="")
+    except OSError as exc:   # a directory in the way, or no permission
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
+
+
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -255,7 +269,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         for line in lines:
             fh.write(line + "\n")
 

@@ -7,10 +7,12 @@ b in (0, 1) that shows up in every interference Laplace transform.  The
 fourth ingredient is a semi-infinite quadrature engine for integrands of
 the form g(z) * exp(-c z) / sqrt(z).
 
-scipy.special supplies the first three, and it is imported on first use,
-not with this module: it costs about 0.3 s, and an eta = 4 analysis never
-needs it.  The power moments only ever ask for gamma(2, x), which is
-elementary (``_lower_gamma_2``); every other order goes to scipy.
+erfc is a bit-exact port of the Cephes code behind scipy's, so the Monte
+Carlo path loads no scipy.  scipy.special supplies the other two, and it is
+imported on first use, not with this module: it costs about 0.3 s, and an
+eta = 4 analysis never needs it.  The power moments only ever ask for
+gamma(2, x), which is elementary (``_lower_gamma_2``); every other order
+goes to scipy.
 """
 
 from __future__ import annotations
@@ -45,10 +47,68 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+# Cephes erf/erfc rational approximations (Moshier, ndtr.c), highest degree
+# first; the leading 1.0 of each denominator is written out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2   # exp(-x^2) underflows past x^2 > this
+
+
+def _polevl(x, coeffs):
+    """Horner's rule in Cephes' order (np.polyval would give NaN at inf)."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def erfc(x):
-    """Complementary error function, elementwise on arrays."""
-    from scipy.special import erfc as _erfc
-    return _erfc(x)
+    """Complementary error function, elementwise on arrays.
+
+    A port of Cephes ``erfc`` (Moshier, ndtr.c), the code behind
+    ``scipy.special.erfc``, and bit-equal to it: |x| < 1 is 1 - erf(x),
+    the rest exp(-x^2) P(|x|)/Q(|x|) (R/S from |x| = 8 on), reflected to
+    2 - y for negative x.  The exponential is libm's, through math.exp:
+    numpy's SIMD exp differs from it in the last bit.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    ax = np.abs(flat)
+    with np.errstate(over="ignore"):
+        sq = flat * flat
+    out = np.where(flat < 0.0, 2.0, 0.0)   # the limits past _MAXLOG
+    small = ax < 1.0
+    xs, zs = flat[small], sq[small]
+    out[small] = 1.0 - xs * _polevl(zs, _ERF_T) / _polevl(zs, _ERF_U)
+    tail = ~small & ~(sq > _MAXLOG)   # NaN lands here and stays NaN
+    t = ax[tail]
+    e = np.fromiter(map(math.exp, (-sq[tail]).tolist()), float, t.size)
+    near = t < 8.0
+    p = np.where(near, _polevl(t, _ERFC_P), _polevl(t, _ERFC_R))
+    q = np.where(near, _polevl(t, _ERFC_Q), _polevl(t, _ERFC_S))
+    y = e * p / q
+    out[tail] = np.where(flat[tail] < 0.0, 2.0 - y, y)
+    out = out.reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # Taylor coefficients of gamma(2, x) / x^2 = sum_k (-x)^k / (k! (k + 2));

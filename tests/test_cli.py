@@ -386,7 +386,9 @@ class TestErrorHandling:
         ("analytic", "[params]\np_b = 4000 dBm\n"),
         ("analytic", "[params]\neta = inf\n"),
         ("simulate", "[sim]\nregion_side = inf km\n"),
-    ], ids=["b_u_inf", "p_b_inf", "p_b_overflow", "eta_inf", "region_inf"])
+        ("simulate", "[sim]\nregion_side = 1e200 km\n"),
+    ], ids=["b_u_inf", "p_b_inf", "p_b_overflow", "eta_inf", "region_inf",
+            "region_overflow"])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
                                                  command, config):
         ini = tmp_path / "cfg.ini"
@@ -451,6 +453,28 @@ class TestErrorHandling:
         assert err["error"] == "config" and out in err["message"]
         assert (tmp_path / "file").read_text() == "not a directory\n"
 
+    def test_output_file_name_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "factors.csv").mkdir()
+        rc = cli.main(["factors", "--out", str(tmp_path),
+                       "--alpha-grid", "0:0:1"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and "factors.csv" in err["message"]
+
+    @pytest.mark.parametrize("side", ["1000.001 km", "1e200 km"])
+    def test_expected_bs_count_is_bounded(self, side):
+        # at 1e200 km, placing a realization overflowed; nothing is placed
+        # here, the config is rejected as it loads
+        with pytest.raises(ConfigError, match="expected BSs per realization"):
+            parse_config(f"[params]\nlambda_bs = 1 /km2\n"
+                         f"[sim]\nregion_side = {side}\n")
+
+    def test_expected_bs_bound_is_inclusive(self):
+        cfg = parse_config("[params]\nlambda_bs = 1 /km2\n"
+                           "[sim]\nregion_side = 1000 km\n")
+        assert cfg.params.lambda_bs * cfg.sim.region_side ** 2 == 1e6
+
     def test_bad_flag_values(self, tmp_path, capsys):
         assert cli.main(["analytic", "--out", str(tmp_path),
                          "--seed", "-1"]) == EXIT_CONFIG
@@ -508,8 +532,15 @@ class TestErrorHandling:
         run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
                f"'--out', {str(tmp_path)!r}]); assert rc == 0")
         loaded = _scipy_modules_after(run)
-        assert "scipy.special" in loaded
         assert not any(m.startswith("scipy.spatial") for m in loaded)
+
+    def test_reference_validate_loads_no_scipy(self, tmp_path):
+        # erfc is an in-package Cephes port, so the whole path is scipy-free
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\nn_realizations = 20\n")
+        run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
+               f"'--out', {str(tmp_path)!r}]); assert rc == 0")
+        assert _scipy_modules_after(run) == []
 
     def test_eta3_simulate_asks_the_k_d_tree(self, tmp_path, monkeypatch):
         # at eta = 3 the realizations list no pairs and ask cKDTree.query;

@@ -39,6 +39,27 @@ class TestErfc:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.72367360983176307, rel=1e-14)
 
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(erfc(0.25), float)
+        assert isinstance(erfc(np.float64(-3.0)), float)
+        assert erfc(np.array([[0.5]])).shape == (1, 1)
+
+    def test_bit_equal_to_scipy(self):
+        # every branch on both signs: |x| < 1, [1, 8), [8, 26.6] and the
+        # exp(-x^2) underflow at x^2 > MAXLOG (26.64...), plus the specials
+        from scipy.special import erfc as scipy_erfc
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300]
+        for b in (1.0, 8.0, np.sqrt(specfun._MAXLOG)):
+            edges += [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+        x = np.concatenate([np.linspace(-30.0, 30.0, 600_001),
+                            np.linspace(26.5, 27.3, 20_001),
+                            np.geomspace(1e-300, 1.0, 10_001),
+                            edges])
+        x = np.concatenate([x, -x])
+        assert np.array_equal(erfc(x), scipy_erfc(x), equal_nan=True)
+        assert np.isnan(erfc(np.nan))
+        assert (erfc(-np.inf), erfc(40.0), erfc(-40.0)) == (2.0, 0.0, 2.0)
+
 
 class TestLowerIncompleteGamma:
     # mpmath gammainc(s, 0, x), dps=40; s = 2 on both sides of the switch
