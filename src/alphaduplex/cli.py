@@ -256,7 +256,7 @@ def _fmt(value) -> str:
 def _open_out(path: str):
     try:   # newline="": "\n" endings on every platform
         return open(path, "w", newline="")
-    except OSError as exc:   # a directory in the way, or no permission
+    except OSError as exc:   # the path changed after _out_paths checked it
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
@@ -274,21 +274,27 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
+def _out_paths(cfg: RunConfig, names) -> list:
+    # checked before the command does any work: a bad name leaves no outputs
     try:
         os.makedirs(cfg.outputs, exist_ok=True)
     except OSError as exc:   # a file in the way, or no permission
         raise ConfigError(f"cannot create output directory "
                           f"{cfg.outputs!r}: {exc}") from None
-    return os.path.join(cfg.outputs, name)
+    paths = [os.path.join(cfg.outputs, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path) or not os.access(
+                path if os.path.exists(path) else cfg.outputs, os.W_OK):
+            raise ConfigError(f"cannot write output file {path!r}: "
+                              "it is a directory or read-only")
+    return paths
 
 
-def cmd_factors(cfg: RunConfig) -> int:
+def cmd_factors(cfg: RunConfig, path: str) -> int:
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
                                        cfg.pulses, cfg.alpha_grid)
     rows = [(alpha, fac.i_du_sq, fac.i_ud_sq)
             for alpha, fac in zip(cfg.alpha_grid, factors)]
-    path = _out_path(cfg, "factors.csv")
     _write_csv(path, ("alpha", "i_du_sq", "i_ud_sq"), rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -301,36 +307,32 @@ def _analytic_rows(cfg: RunConfig):
             yield (m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
 
 
-def cmd_analytic(cfg: RunConfig) -> int:
-    path = _out_path(cfg, "analytic.csv")
+def cmd_analytic(cfg: RunConfig, path: str) -> int:
     _write_csv(path, ("direction", "alpha", "ber", "bandwidth_hz",
                       "throughput_bps"), _analytic_rows(cfg))
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, path: str) -> int:
     metrics = run_campaign(cfg.params, cfg.sim, list(cfg.alpha_grid),
                            cfg.pulses)
     rows = [(m.direction.value, m.alpha, m.mean_ber, m.std_err, m.n_links,
              m.bandwidth, m.throughput) for m in metrics]
-    path = _out_path(cfg, "simulate.csv")
     _write_csv(path, ("direction", "alpha", "mean_ber", "std_err", "n_links",
                       "bandwidth_hz", "throughput_bps"), rows)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, csv_path: str, summary_path: str) -> int:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
-    csv_path = _out_path(cfg, "sweep.csv")
     _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
                sr.table())
     try:
         lines = find_operating_points(sr, refine_tol=cfg.refine_tol).lines()
     except NoCrossingError:
         lines = ("no_crossing=true",)
-    summary_path = _out_path(cfg, "summary.txt")
     _write_lines(summary_path, lines)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
@@ -339,7 +341,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, path: str, txt_path: str) -> int:
     alphas = list(cfg.alpha_grid)
     # one factor grid serves both the campaign and the closed forms
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
@@ -362,7 +364,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         max_gap[m.direction] = max(max_gap[m.direction], gap)
         rows.append((m.direction.value, m.alpha, analytic_ber, m.mean_ber,
                      m.std_err, gap, tol, "pass" if ok else "fail"))
-    path = _out_path(cfg, "validate.csv")
     _write_csv(path, ("direction", "alpha", "analytic_ber", "empirical_ber",
                       "std_err", "abs_gap", "tolerance", "status"), rows)
     lines = [
@@ -371,7 +372,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         f"base_tolerance={BER_TOLERANCE:.12g}",
         f"status={'fail' if failed else 'pass'}",
     ]
-    _write_lines(_out_path(cfg, "validate.txt"), lines)
+    _write_lines(txt_path, lines)
     print(f"wrote {path}")
     for line in lines:
         print(line)
@@ -379,11 +380,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "factors": cmd_factors,
-    "analytic": cmd_analytic,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
+    "factors": (cmd_factors, ("factors.csv",)),
+    "analytic": (cmd_analytic, ("analytic.csv",)),
+    "simulate": (cmd_simulate, ("simulate.csv",)),
+    "sweep": (cmd_sweep, ("sweep.csv", "summary.txt")),
+    "validate": (cmd_validate, ("validate.csv", "validate.txt")),
 }
 
 
@@ -444,13 +445,15 @@ def _error_line(kind: str, message: str) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, names = _COMMANDS[args.command]
     try:
         cfg = _load_run_config(args)
+        paths = _out_paths(cfg, names)
     except ConfigError as exc:
         _error_line("config", str(exc))
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg)
+        return command(cfg, *paths)
     except StarvationError as exc:
         _error_line("starvation", str(exc))
         return EXIT_STARVATION

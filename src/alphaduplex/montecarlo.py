@@ -21,6 +21,8 @@ with too many neighbour pairs, and a decision within a relative 1e-12 of a
 tie, between two BSs or at the distance bound, go to a cKDTree.query of
 that realization, so every decision is the tree's own.  A realization's
 tree, and scipy.spatial with it, is built only when a candidate first asks.
+Each round compacts its arrays with index gathers (``take``): numpy indexes
+with a random boolean mask several times slower.
 
 Links are assembled per realization and direction as one block: the
 (links x BSs) distances and fading gains of all core links at once, the
@@ -140,19 +142,17 @@ class NetworkRealization:
     def n_bs(self) -> int:
         return self.bs_positions.shape[0]
 
-    def core_bounds(self) -> tuple:
-        lo = 0.5 * (self.region_side - self.core_side)
-        return lo, lo + self.core_side
-
     def core_bs_indices(self) -> np.ndarray:
-        lo, hi = self.core_bounds()
-        inside = np.all((self.bs_positions >= lo) & (self.bs_positions <= hi), axis=1)
-        return np.where(inside)[0]
+        return self._core_indices(self.bs_positions)
 
     def core_ue_indices(self) -> np.ndarray:
-        lo, hi = self.core_bounds()
-        inside = np.all((self.ue_positions >= lo) & (self.ue_positions <= hi), axis=1)
-        return np.where(inside)[0]
+        return self._core_indices(self.ue_positions)
+
+    def _core_indices(self, pos: np.ndarray) -> np.ndarray:
+        lo = 0.5 * (self.region_side - self.core_side)
+        hi = lo + self.core_side
+        x, y = pos.T
+        return np.flatnonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,6 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
 
     sizes = np.array([bs.shape[0] for bs in positions])
     starts = np.cumsum(sizes) - sizes
-    n_total = int(sizes.sum())
     n_listed = int(sizes[~np.array(asks_tree)].sum())
     owner_block = np.repeat(np.arange(len(used)), sizes)
     bx, by = np.concatenate(positions).T.copy()
@@ -269,20 +268,20 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
     py = np.concatenate((by[hi], by[lo]))
     del nears, lo, hi   # free them: the rounds need only these rows
 
-    ue = np.zeros((n_total, 2))
-    dist = np.zeros(n_total)
-    unserved = np.arange(n_total)
+    ue = np.zeros((bx.size, 2))
+    dist = np.zeros(bx.size)
+    unserved = np.arange(bx.size)
     for _ in range(cfg.candidate_cap):
         if unserved.size == 0:
             break
-        owner = owner_block[unserved]
+        owner = owner_block.take(unserved)
         counts = np.bincount(owner, minlength=len(used))
         # each generator draws the radii, then the angles of its own BSs
         draws = [(rngs[j].random(c), rngs[j].random(c))
                  for j, c in enumerate(counts.tolist()) if c]
         radius = r_max_km * np.sqrt(np.concatenate([r for r, _ in draws]))
         angle = 2.0 * math.pi * np.concatenate([a for _, a in draws])
-        ox, oy = bx[unserved], by[unserved]
+        ox, oy = bx.take(unserved), by.take(unserved)
         cx = ox + radius * np.cos(angle)
         cy = oy + radius * np.sin(angle)
         inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
@@ -295,7 +294,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
             # less d_own
             d_own = _sum_sq(ox[:k] - cx[:k], oy[:k] - cy[:k])
             gap = np.full(k, bound * bound)
-            np.minimum.at(gap, slot, _sum_sq(cx[slot] - px, cy[slot] - py))
+            np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
             gap -= d_own
             margin = _TIE_TOL * d_own
             ok[:k] = inside[:k] & (gap > margin)
@@ -303,7 +302,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         # near ties and the rows from k on are the trees' to decide, one
         # query per realization (rows are sorted by realization)
         asked = np.flatnonzero(ask)
-        own = owner[asked]
+        own = owner.take(asked)
         head = 0
         while head < asked.size:
             j = int(own[head])
@@ -316,13 +315,18 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
                                         distance_upper_bound=bound)
             ok[t] = nearest == unserved[t] - starts[j]
             head = end
-        won = unserved[ok]
-        ue[won, 0], ue[won, 1], dist[won] = cx[ok], cy[ok], radius[ok]
+        hit = np.flatnonzero(ok)
+        won = unserved.take(hit)
+        ue[won, 0], ue[won, 1], dist[won] = cx.take(hit), cy.take(hit), radius.take(hit)
         keep = ~ok
-        unserved = unserved[keep]
-        rows = keep[slot]
-        slot = (np.cumsum(keep[:k]) - 1)[slot[rows]]
-        px, py = px[rows], py[rows]
+        kept = np.flatnonzero(keep)
+        unserved = unserved.take(kept)
+        if ok[:k].any():   # else the rows before k keep their slots
+            rows = np.flatnonzero(keep.take(slot))
+            remap = np.empty(ok.size, dtype=np.intp)   # a kept row's new slot
+            remap[kept] = np.arange(kept.size)
+            slot = remap.take(slot.take(rows))
+            px, py = px.take(rows), py.take(rows)
 
     left = np.bincount(owner_block[unserved], minlength=len(used))
     out = {}
@@ -356,21 +360,23 @@ def _near_pairs(pos: np.ndarray, r: float, side: float) -> np.ndarray:
     cell = np.minimum((pos * (per_axis / side)).astype(np.intp), per_axis - 1) + 1
     width = per_axis + 2
     key = cell[:, 0] * width + cell[:, 1]
-    order = np.argsort(key, kind="stable")
+    # a stable sort of 16-bit keys is a radix sort: the same order, faster
+    order = np.argsort(key.astype(np.uint16) if width <= 256 else key, kind="stable")
     count = np.bincount(key, minlength=width * width)
     first = np.cumsum(count) - count   # where each cell starts in ``order``
     # in cell order, point i meets the rows [lo, hi) of ``order`` in its own
     # cell after itself, the cell above, and the three of the next column
-    near = key[order, None] + np.array([0, 1, width - 1, width, width + 1])
-    lo = first[near]
-    hi = lo + count[near]
+    near = key.take(order)[:, None] + np.array([0, 1, width - 1, width, width + 1])
+    lo = first.take(near)
+    hi = lo + count.take(near)
     lo[:, 0] = np.arange(1, n + 1)
     m = (hi - lo).ravel()
     a = np.repeat(np.arange(n), m.reshape(n, 5).sum(axis=1))
     b = np.repeat(lo.ravel() - (np.cumsum(m) - m), m) + np.arange(a.size)
-    x, y = pos[order].T
-    keep = _sum_sq(x[a] - x[b], y[a] - y[b]) <= r * r
-    a, b = order[a[keep]], order[b[keep]]
+    x, y = pos.take(order, axis=0).T
+    keep = np.flatnonzero(
+        _sum_sq(x.take(a) - x.take(b), y.take(a) - y.take(b)) <= r * r)
+    a, b = order.take(a.take(keep)), order.take(b.take(keep))
     return np.column_stack((np.minimum(a, b), np.maximum(a, b)))
 
 

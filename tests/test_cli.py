@@ -462,6 +462,44 @@ class TestErrorHandling:
         err = json.loads(line)
         assert err["error"] == "config" and "factors.csv" in err["message"]
 
+    def test_sweep_checks_every_output_name_first(self, tmp_path, capsys):
+        # summary.txt is written last: a directory of that name used to be
+        # found only after sweep.csv was written
+        (tmp_path / "summary.txt").mkdir()
+        rc = cli.main(["sweep", "--out", str(tmp_path), "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "config" and "summary.txt" in line
+        assert out == "" and not (tmp_path / "sweep.csv").exists()
+
+    def test_validate_checks_output_names_before_its_campaign(
+            self, tmp_path, capsys, monkeypatch):
+        def campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", campaign)
+        (tmp_path / "validate.txt").mkdir()
+        rc = cli.main(["validate", "--out", str(tmp_path), "--alpha-grid", "0:0:1"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config" and "validate.txt" in line
+        assert not (tmp_path / "validate.csv").exists()
+
+    def test_unwritable_output_name(self, tmp_path, capsys, monkeypatch):
+        # os.access stands in for permissions, which root would not obey
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        rc = cli.main(["factors", "--out", str(tmp_path), "--alpha-grid", "0:0:1"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "factors.csv" in json.loads(line)["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_after_the_check_is_still_mapped(self, tmp_path):
+        # a name that becomes a directory between the check and the write
+        with pytest.raises(ConfigError, match="cannot write output file"):
+            cli._write_lines(str(tmp_path), ["key=value"])
+
     @pytest.mark.parametrize("side", ["1000.001 km", "1e200 km"])
     def test_expected_bs_count_is_bounded(self, side):
         # at 1e200 km, placing a realization overflowed; nothing is placed

@@ -125,6 +125,21 @@ def assert_same_realization(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def oracle_with_rounds(p, cfg, idx, monkeypatch):
+    # the per-round oracle's realization and its rounds: one query each
+    queries = []
+
+    class Counted(spatial.cKDTree):
+        def query(self, *args, **kwargs):
+            queries.append(1)
+            return super().query(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(spatial, "cKDTree", Counted)
+        real = sample_realization_per_round(p, cfg, idx)
+    return real, len(queries)
+
+
 def count_blocks(monkeypatch):
     # the realization count of every block placed from here on
     blocks = []
@@ -236,6 +251,45 @@ class TestLockstepPlacement:
         for idx, real in enumerate(reals):
             assert_same_realization(
                 real, sample_realization_per_round(wide, cfg, idx))
+
+    def test_listed_rows_served_before_tree_rows(self, monkeypatch):
+        # a budget of 228 entries lists the pairs of realizations of at most
+        # 47 BSs (about 3.8 neighbours each) on a 4 km side; larger ones ask
+        # their trees.  In some mixed block every listed BS is served while
+        # tree-side BSs still wait: rounds then run with no neighbour rows
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 228)
+        cfg = SimConfig(n_realizations=20, seed=1, region_side=4.0,
+                        core_side=1.0)
+        listed, blocks = [], []
+        near_pairs, place_block = montecarlo._near_pairs, montecarlo._place_block
+
+        def listing(pos, *args):
+            near = near_pairs(pos, *args)
+            assert pos.shape[0] + 2 * near.shape[0] <= 228   # it is listed
+            listed.append(pos)
+            return near
+
+        def placing(*args):
+            out = place_block(*args)
+            blocks.append([idx for _, _, idx in out])
+            return out
+
+        monkeypatch.setattr(montecarlo, "_near_pairs", listing)
+        monkeypatch.setattr(montecarlo, "_place_block", placing)
+        reals = [sample_realization(REF, cfg, i) for i in range(20)]
+        rounds = []
+        for idx, real in enumerate(reals):
+            oracle, n_rounds = oracle_with_rounds(REF, cfg, idx, monkeypatch)
+            assert_same_realization(real, oracle)
+            rounds.append(n_rounds)
+        is_listed = [any(r.bs_positions is pos for pos in listed) for r in reals]
+        tree_rows_left = []
+        for block in blocks:
+            tab = [rounds[i] for i in block if is_listed[i] and reals[i].n_bs]
+            tree = [rounds[i] for i in block if not is_listed[i]]
+            if tab and tree:
+                tree_rows_left.append(max(tab) < max(tree))
+        assert len(tree_rows_left) >= 3 and any(tree_rows_left)
 
     def test_pair_table_memory_stays_bounded(self):
         # eta = 3: r_max = 2.15 km, about 145 neighbours per BS.  Listing
@@ -352,6 +406,16 @@ class TestNearPairs:
     def test_random_points(self, n, r):
         pos = np.random.default_rng(n).random((n, 2)) * 20.0
         assert_pairs_as_k_d_tree(pos, r)
+
+    @pytest.mark.parametrize("n, cells", [(64_009, 256 ** 2), (70_000, 267 ** 2)])
+    def test_grids_about_65536_cells(self, n, cells):
+        # cells per axis: min(20 / 0.05, isqrt(n) + 1) plus two of padding.
+        # Up to 65,536 cells the keys are sorted as 16-bit integers, and
+        # beyond as they are
+        per_axis = min(int(20.0 / (0.05 * (1 + 1e-9))), math.isqrt(n) + 1)
+        assert (per_axis + 2) ** 2 == cells
+        pos = np.random.default_rng(n).random((n, 2)) * 20.0
+        assert_pairs_as_k_d_tree(pos, 0.05)
 
     def test_points_on_the_region_edges(self):
         edges = [[0.0, 0.0], [20.0, 20.0], [0.0, 20.0], [20.0, 0.0],
