@@ -37,7 +37,6 @@ from .model import (
     Direction,
     SystemParams,
     max_inversion_radius_m,
-    noise_variance,
     uplink_power_moment,
 )
 from .pulse import BandPlan, InterferenceFactors
@@ -59,6 +58,11 @@ __all__ = [
     "ber_uplink",
     "ber_downlink",
 ]
+
+# ber_downlink's inner serving-distance integral, 100 times tighter than
+# its outer z integral
+_INNER_QUADRATURE = QuadratureSpec(rel_tol=0.01 * DEFAULT_QUADRATURE.rel_tol,
+                                   abs_tol=0.01 * DEFAULT_QUADRATURE.abs_tol)
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,7 @@ def lt_ue_on_downlink(s, r_o, factors: InterferenceFactors, p: SystemParams):
     return _lt(_ue_on_downlink(factors, p, moment)(s_arr, r_arr))
 
 
-def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float,
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float) -> float:
     """E[omega1 erfc(sqrt(omega2 x/(y+b)))] for x ~ Exp(1) via the LT of y.
 
     ``lt_y`` must accept ndarray arguments and return values in (0, 1].
@@ -214,30 +217,29 @@ def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float,
     def integrand(z):
         return lt_y(z / omega2) * np.exp(-decay * z) / np.sqrt(z)
 
-    integral = integrate_semi_infinite(integrand, spec, decay_rate=decay)
+    integral = integrate_semi_infinite(integrand, decay_rate=decay)
     ber = omega1 - (omega1 / math.sqrt(math.pi)) * integral
     return float(min(max(ber, 0.0), omega1))
 
 
-def ber_uplink(alpha: float, factors: InterferenceFactors, p: SystemParams,
-               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> LinkMetrics:
+def ber_uplink(alpha: float, factors: InterferenceFactors,
+               p: SystemParams) -> LinkMetrics:
     """Spatially averaged uplink BER and throughput at overlap ``alpha``."""
     _check_alpha(alpha)
     omega1, omega2 = p.omega(Direction.UPLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
-    b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
+    b_const = (p.beta * p.p_b * factors.i_su_sq + p.sigma_n_sq) / p.rho
     bs = _bs_on_uplink(factors, p)
     ue = _ue_on_uplink(p, uplink_power_moment(2.0 / p.eta, p))
 
     def lt(s):
         return np.exp(-(bs(s) + ue(s)))
 
-    ber = hamdi_average(lt, omega1, omega2, b_const, spec)
+    ber = hamdi_average(lt, omega1, omega2, b_const)
     return _metrics(Direction.UPLINK, alpha, ber, p)
 
 
-def ber_downlink(alpha: float, factors: InterferenceFactors, p: SystemParams,
-                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> LinkMetrics:
+def ber_downlink(alpha: float, factors: InterferenceFactors,
+                 p: SystemParams) -> LinkMetrics:
     """Spatially averaged downlink BER and throughput at overlap ``alpha``.
 
     Double integral: the averaging identity's z integral outside, the
@@ -246,14 +248,10 @@ def ber_downlink(alpha: float, factors: InterferenceFactors, p: SystemParams,
     """
     _check_alpha(alpha)
     omega1, omega2 = p.omega(Direction.DOWNLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     r_max = max_inversion_radius_m(p)
     pi_lam = math.pi * p.lambda_per_m2
     norm = -math.expm1(-pi_lam * r_max * r_max)
-    inner_spec = QuadratureSpec(
-        rel_tol=max(0.01 * spec.rel_tol, 1e-13),
-        abs_tol=max(0.01 * spec.abs_tol, 1e-15),
-        max_subdivisions=spec.max_subdivisions)
     bs = _bs_on_downlink(p)
     ue = _ue_on_downlink(factors, p, uplink_power_moment(2.0 / p.eta, p))
 
@@ -268,13 +266,13 @@ def ber_downlink(alpha: float, factors: InterferenceFactors, p: SystemParams,
                    + sigma_sq * r ** p.eta) / p.p_b
             return density * np.exp(-(bs(s, r) + ue(s, r) + s * b_r))
 
-        return adaptive_quad(g, 0.0, r_max, inner_spec)
+        return adaptive_quad(g, 0.0, r_max, _INNER_QUADRATURE)
 
     def outer(z):
         z = np.asarray(z, dtype=float)
         return averaged_lt(z) * np.exp(-z) / np.sqrt(z)
 
-    integral = integrate_semi_infinite(outer, spec, decay_rate=1.0)
+    integral = integrate_semi_infinite(outer, decay_rate=1.0)
     ber = omega1 - (omega1 / math.sqrt(math.pi)) * integral
     ber = float(min(max(ber, 0.0), omega1))
     return _metrics(Direction.DOWNLINK, alpha, ber, p)

@@ -222,12 +222,6 @@ def parse_config(text: str) -> RunConfig:
         sim = SimConfig(**sim_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # float ** raises OverflowError where * gives inf
-    n_bs = params.lambda_bs * sim.region_side * sim.region_side
-    if not n_bs <= _MAX_EXPECTED_BS:
-        raise ConfigError(f"expected BSs per realization, lambda_bs * "
-                          f"region_side^2 = {n_bs:g}, must be at most "
-                          f"{_MAX_EXPECTED_BS:g}")
 
     pulse_kwargs = {"uplink": PulseKind.TRIANGULAR,
                     "downlink": PulseKind.RECTANGULAR}
@@ -272,6 +266,16 @@ def _write_lines(path: str, lines) -> None:
     with _open_out(path) as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _check_expected_bs(cfg: RunConfig) -> None:
+    # the networks that simulate and validate place must fit in memory;
+    # float ** raises OverflowError where * gives inf
+    n_bs = cfg.params.lambda_bs * cfg.sim.region_side * cfg.sim.region_side
+    if not n_bs <= _MAX_EXPECTED_BS:
+        raise ConfigError(f"expected BSs per realization, lambda_bs * "
+                          f"region_side^2 = {n_bs:g}, must be at most "
+                          f"{_MAX_EXPECTED_BS:g}")
 
 
 def _out_paths(cfg: RunConfig, names) -> list:
@@ -448,6 +452,8 @@ def main(argv=None) -> int:
     command, names = _COMMANDS[args.command]
     try:
         cfg = _load_run_config(args)
+        if args.command in ("simulate", "validate"):
+            _check_expected_bs(cfg)
         paths = _out_paths(cfg, names)
     except ConfigError as exc:
         _error_line("config", str(exc))

@@ -20,8 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .specfun import lower_incomplete_gamma
 
 M_PER_KM = 1000.0
@@ -101,47 +99,20 @@ class SystemParams:
     def lambda_per_m2(self) -> float:
         return per_km2_to_per_m2(self.lambda_bs)
 
+    @property
+    def sigma_n_sq(self) -> float:
+        """Post-matched-filter noise variance, sigma_n^2 = N_o / 2 watts."""
+        return 0.5 * self.n0
+
     def omega(self, direction: Direction) -> tuple[float, float]:
         if direction is Direction.UPLINK:
             return self.omega1_u, self.omega2_u
         return self.omega1_d, self.omega2_d
 
 
-@dataclass(frozen=True)
-class NoiseVariance:
-    """Post-matched-filter noise variance, sigma_n^2 = N_o / 2 watts."""
-
-    sigma_n_sq: float
-
-
-def noise_variance(p: SystemParams) -> NoiseVariance:
-    return NoiseVariance(sigma_n_sq=0.5 * p.n0)
-
-
 def max_inversion_radius_m(p: SystemParams) -> float:
     """Largest serving distance (meters) a UE can invert: (p_u_max/rho)^(1/eta)."""
     return (p.p_u_max / p.rho) ** (1.0 / p.eta)
-
-
-def distance_pdf(r_km, p: SystemParams):
-    """Serving-distance density f_R(r) of an active uplink UE, per km.
-
-    Rayleigh-type nearest-BS density truncated at the channel-inversion
-    radius and renormalized.  ``r_km`` may be a scalar or ndarray; negative
-    distances are rejected, distances beyond the support return 0.
-    """
-    r = np.asarray(r_km, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("r must be nonnegative")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-
-    pi_lam = math.pi * p.lambda_bs                       # per km^2
-    r_max = max_inversion_radius_m(p) / M_PER_KM         # km
-    norm = -math.expm1(-pi_lam * r_max * r_max)          # 1 - e^(-pi lam r_max^2)
-    pdf = 2.0 * pi_lam * r * np.exp(-pi_lam * r * r) / norm
-    pdf = np.where(r <= r_max, pdf, 0.0)
-    return float(pdf[0]) if scalar else pdf
 
 
 def uplink_power_moment(a: float, p: SystemParams) -> float:

@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    M_PER_KM,
-    Direction,
-    SystemParams,
-    max_inversion_radius_m,
-    noise_variance,
-)
+from .model import M_PER_KM, Direction, SystemParams, max_inversion_radius_m
 from .pulse import BandPlan, InterferenceFactors, PulsePair, interference_factor_grid
 from .specfun import erfc
 
@@ -494,7 +488,7 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         raise ValueError("no measurement links fell inside the core window; "
                          "increase n_realizations or the region size")
 
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     w1_u, w2_u = p.omega(Direction.UPLINK)
     w1_d, w2_d = p.omega(Direction.DOWNLINK)
 

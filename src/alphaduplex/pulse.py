@@ -221,7 +221,8 @@ def _lobes(victim: Direction, plan: BandPlan, pulse_u: PulseShape,
     return [(lo, hi, *params) for lo, hi in zip(bps[:-1], bps[1:])]
 
 
-def _correlations(cases, spec: QuadratureSpec) -> list[tuple[float, float]]:
+def _correlations(cases, spec: QuadratureSpec = DEFAULT_QUADRATURE
+                  ) -> list[tuple[float, float]]:
     # (I_d->u, I_u->d) per (plan, pulse_u, pulse_d) case, bit-equal to
     # integrating the lobes one at a time: each lobe gets abs_tol / n_lobes,
     # and the lobes are summed in band order as Python floats.  The lobes
@@ -261,41 +262,17 @@ def _squared(total: float) -> float:
     return min(max(total * total, 0.0), 1.0)
 
 
-def effective_interference_factor(
-        victim: Direction, aggressor: Direction, plan: BandPlan,
-        pulse_u: PulseShape, pulse_d: PulseShape,
-        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[complex, float]:
-    """Correlation I_aggressor->victim and its squared magnitude.
-
-    Integrates the aggressor spectrum, shifted by the carrier offset, against
-    the victim matched filter across the victim's accessible band, lobe by
-    lobe between the shifted spectrum's nulls.
-
-    Returns (I, |I|^2).  I is real for these real even spectra but typed
-    complex, since the correlation is complex for general pulses.
-    """
-    _check_pulses(plan, pulse_u, pulse_d)
-    if victim is aggressor:
-        return complex(1.0), 1.0
-    (du, ud), = _correlations([(plan, pulse_u, pulse_d)], spec)
-    total = du if victim is Direction.UPLINK else ud
-    return complex(total), _squared(total)
-
-
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,
-                         pulse_d: PulseShape,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE
-                         ) -> InterferenceFactors:
+                         pulse_d: PulseShape) -> InterferenceFactors:
     """All squared factors at the plan's alpha (SI tied to the cross factors)."""
-    (du, ud), = _correlations([(plan, pulse_u, pulse_d)], spec)
+    (du, ud), = _correlations([(plan, pulse_u, pulse_d)])
     return InterferenceFactors.from_cross(_squared(du), _squared(ud))
 
 
-def interference_factor_grid(b_u: float, b_d: float, pair: PulsePair, alphas,
-                             spec: QuadratureSpec = DEFAULT_QUADRATURE
-                             ) -> list[InterferenceFactors]:
+def interference_factor_grid(b_u: float, b_d: float, pair: PulsePair,
+                             alphas) -> list[InterferenceFactors]:
     """``interference_factors`` at every alpha, bit for bit, in one batch."""
     plans = [BandPlan(b_u, b_d, alpha) for alpha in alphas]
     return [InterferenceFactors.from_cross(_squared(du), _squared(ud))
             for du, ud in _correlations(
-                [(p, *make_pulses(pair, p)) for p in plans], spec)]
+                [(p, *make_pulses(pair, p)) for p in plans])]

@@ -32,6 +32,9 @@ in-place arithmetic.
 The interference factors have a bit-exact oracle: each lobe between the
 spectral nulls integrated on its own by ``adaptive_quad``, as the package
 did before it batched the lobes of many alphas into shared seed passes.
+
+``distance_pdf``, the serving-distance density written out per km, is the
+oracle for the mass of that law and for the power moments taken over it.
 """
 
 import math
@@ -45,7 +48,6 @@ from alphaduplex.model import (
     Direction,
     SystemParams,
     max_inversion_radius_m,
-    noise_variance,
     uplink_power_moment,
 )
 from alphaduplex.montecarlo import NetworkRealization, StarvationError
@@ -66,6 +68,27 @@ def serving_distance_inverse_cdf(u, p: SystemParams):
     c = math.pi * lam * max_inversion_radius_m(p) ** 2
     u = np.asarray(u, dtype=float)
     return np.sqrt(-np.log1p(u * np.expm1(-c)) / (math.pi * lam))
+
+
+def distance_pdf(r_km, p: SystemParams):
+    """Serving-distance density f_R(r) of an active uplink UE, per km.
+
+    Rayleigh-type nearest-BS density truncated at the channel-inversion
+    radius and renormalized.  ``r_km`` may be a scalar or ndarray; negative
+    distances are rejected, distances beyond the support return 0.
+    """
+    r = np.asarray(r_km, dtype=float)
+    if np.any(r < 0.0):
+        raise ValueError("r must be nonnegative")
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+
+    pi_lam = math.pi * p.lambda_bs                       # per km^2
+    r_max = max_inversion_radius_m(p) / M_PER_KM         # km
+    norm = -math.expm1(-pi_lam * r_max * r_max)          # 1 - e^(-pi lam r_max^2)
+    pdf = 2.0 * pi_lam * r * np.exp(-pi_lam * r * r) / norm
+    pdf = np.where(r <= r_max, pdf, 0.0)
+    return float(pdf[0]) if scalar else pdf
 
 
 def _power_nodes(p: SystemParams, order: int = 64):
@@ -325,7 +348,7 @@ def ber_uplink_scipy_reference(factors: InterferenceFactors,
     from alphaduplex.analytic import lt_bs_on_uplink, lt_ue_on_uplink
 
     w1, w2 = p.omega(Direction.UPLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
     decay = 1.0 + b_const / w2
 
@@ -344,7 +367,7 @@ def ber_downlink_scipy_reference(factors: InterferenceFactors,
     from alphaduplex.analytic import lt_bs_on_downlink, lt_ue_on_downlink
 
     w1, w2 = p.omega(Direction.DOWNLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     r_max = max_inversion_radius_m(p)
 
     def averaged_lt(z):
@@ -378,7 +401,7 @@ def ber_uplink_eta4_arctan(factors: InterferenceFactors,
                            p: SystemParams) -> float:
     assert p.eta == 4.0
     w1, w2 = p.omega(Direction.UPLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
     e_sqrt_pu = uplink_power_moment(0.5, p)
     cross = 0.5 * math.pi * math.sqrt(p.p_b * factors.i_du_sq)
@@ -395,7 +418,7 @@ def ber_downlink_eta4_arctan(factors: InterferenceFactors,
                              p: SystemParams) -> float:
     assert p.eta == 4.0
     w1, w2 = p.omega(Direction.DOWNLINK)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     e_sqrt_pu = uplink_power_moment(0.5, p)
     pi_lam = math.pi * p.lambda_per_m2
     ud_scale = math.sqrt(factors.i_ud_sq / p.p_b)
@@ -563,11 +586,9 @@ def factor_per_lobe(victim: Direction, plan, pulse_u, pulse_d,
     return total
 
 
-def factors_per_lobe(plan, pulse_u, pulse_d,
-                     spec: QuadratureSpec = QuadratureSpec()
-                     ) -> InterferenceFactors:
+def factors_per_lobe(plan, pulse_u, pulse_d) -> InterferenceFactors:
     """Both squared cross factors from ``factor_per_lobe``, clipped to [0, 1]."""
     sq = [min(max(t * t, 0.0), 1.0)
-          for t in (factor_per_lobe(v, plan, pulse_u, pulse_d, spec)
+          for t in (factor_per_lobe(v, plan, pulse_u, pulse_d)
                     for v in (Direction.UPLINK, Direction.DOWNLINK))]
     return InterferenceFactors.from_cross(*sq)

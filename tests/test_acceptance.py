@@ -25,7 +25,7 @@ from alphaduplex.analytic import (
     lt_ue_on_downlink,
     lt_ue_on_uplink,
 )
-from alphaduplex.model import Direction, SystemParams, distance_pdf, max_inversion_radius_m
+from alphaduplex.model import Direction, SystemParams, max_inversion_radius_m
 from alphaduplex.montecarlo import SimConfig, run_campaign, sample_realization
 from alphaduplex.pulse import (
     BandPlan,
@@ -200,7 +200,7 @@ def test_c8_property_suite():
 
     # serving-distance density integrates to one
     r_max_km = max_inversion_radius_m(REF) / 1000.0
-    mass, _ = quad(lambda r: distance_pdf(r, REF), 0.0, r_max_km)
+    mass, _ = quad(lambda r: mo.distance_pdf(r, REF), 0.0, r_max_km)
     ok &= abs(mass - 1.0) <= 1e-9
     notes.append(f"pdf mass-1 {abs(mass - 1.0):.1e}")
 

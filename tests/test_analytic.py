@@ -26,7 +26,7 @@ from alphaduplex.analytic import (
     lt_ue_on_downlink,
     lt_ue_on_uplink,
 )
-from alphaduplex.model import Direction, SystemParams, noise_variance
+from alphaduplex.model import Direction, SystemParams
 from alphaduplex.pulse import (
     BandPlan,
     InterferenceFactors,
@@ -364,7 +364,7 @@ class TestEta4Specialization:
         # controlled uplink population remains in the average
         p0 = dataclasses.replace(REF, beta=0.0)
         w1, w2 = p0.omega(Direction.UPLINK)
-        b_const = noise_variance(p0).sigma_n_sq / p0.rho
+        b_const = p0.sigma_n_sq / p0.rho
         expected = hamdi_average(lambda z: lt_ue_on_uplink(z, p0), w1, w2, b_const)
         assert ber_uplink(0.0, ZERO, p0).ber == pytest.approx(expected, rel=1e-9)
 

@@ -501,17 +501,48 @@ class TestErrorHandling:
             cli._write_lines(str(tmp_path), ["key=value"])
 
     @pytest.mark.parametrize("side", ["1000.001 km", "1e200 km"])
-    def test_expected_bs_count_is_bounded(self, side):
-        # at 1e200 km, placing a realization overflowed; nothing is placed
-        # here, the config is rejected as it loads
-        with pytest.raises(ConfigError, match="expected BSs per realization"):
-            parse_config(f"[params]\nlambda_bs = 1 /km2\n"
-                         f"[sim]\nregion_side = {side}\n")
+    def test_expected_bs_count_is_bounded(self, tmp_path, capsys,
+                                          monkeypatch, side):
+        # at 1e200 km, placing a realization overflowed; the commands that
+        # place a network reject the config before any work or output
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign must not start")
+
+        monkeypatch.setattr(cli, "run_campaign", refuse)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[params]\nlambda_bs = 1 /km2\n"
+                       f"[sim]\nregion_side = {side}\n")
+        for command in ("simulate", "validate"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(ini),
+                             "--out", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert "expected BSs per realization" in json.loads(line)["message"]
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_expected_bs_bound_is_inclusive(self):
         cfg = parse_config("[params]\nlambda_bs = 1 /km2\n"
                            "[sim]\nregion_side = 1000 km\n")
         assert cfg.params.lambda_bs * cfg.sim.region_side ** 2 == 1e6
+        cli._check_expected_bs(cfg)   # no error at exactly 10^6
+
+    def test_closed_forms_take_any_density(self, tmp_path, capsys):
+        # the placement bound binds only simulate and validate: at 1e4 /km2
+        # the default 20 km region would hold 4e6 BSs, but factors,
+        # analytic and sweep place none
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\nlambda_bs = 1e4 /km2\n")
+        for command in ("factors", "analytic", "sweep"):
+            assert cli.main([command, "--config", str(ini),
+                             "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "analytic.csv")
+        assert len(rows) == 1 + 2 * 11
+        assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary == "no_crossing=true\n"
+        assert capsys.readouterr().err == ""
 
     def test_bad_flag_values(self, tmp_path, capsys):
         assert cli.main(["analytic", "--out", str(tmp_path),

@@ -4,19 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mc_oracles import distance_pdf
+
+from alphaduplex import model
 from alphaduplex.model import (
     Direction,
     M_PER_KM,
-    NoiseVariance,
     SystemParams,
     db_to_linear,
     dbm_to_watts,
-    distance_pdf,
     max_inversion_radius_m,
-    noise_variance,
     per_km2_to_per_m2,
     uplink_power_moment,
 )
@@ -95,10 +95,11 @@ class TestSystemParams:
         assert p.omega(Direction.DOWNLINK) == (0.25, 3.0)
 
     def test_noise_variance_is_half_n0(self):
-        p = SystemParams()
-        nv = noise_variance(p)
-        assert isinstance(nv, NoiseVariance)
-        assert nv.sigma_n_sq == pytest.approx(0.5 * p.n0, rel=1e-15)
+        for n0 in (1e-12, 3.7e-15):
+            p = SystemParams(n0=n0)
+            assert p.sigma_n_sq == 0.5 * n0
+        with pytest.raises(AttributeError):
+            p.sigma_n_sq = 1.0
 
 
 class TestMaxInversionRadius:
@@ -207,6 +208,27 @@ class TestUplinkPowerMoment:
         lo = SystemParams(rho=1e-10 * scale)
         hi = SystemParams(rho=2e-10 * scale)
         assert uplink_power_moment(a, hi) > uplink_power_moment(a, lo)
+
+    @given(st.floats(min_value=2.0, max_value=1000.0, exclude_min=True))
+    @example(math.nextafter(2.0, 3.0))
+    @example(49.0)   # 2/49 * 49 is 1.9999999999999998
+    @example(1000.0)
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_moment_takes_the_elementary_branch(self, eta):
+        # the closed forms ask E[P_u^(2/eta)]; its gamma order a eta/2 + 1
+        # rounds to 2.0 exactly, so gamma(2, x) is evaluated in elementary
+        # terms at every eta and scipy's branch is never reached
+        orders = []
+        real = model.lower_incomplete_gamma
+
+        def recorded(s, x):
+            orders.append(s)
+            return real(s, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "lower_incomplete_gamma", recorded)
+            uplink_power_moment(2.0 / eta, SystemParams(eta=eta))
+        assert orders == [2.0]
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):

@@ -17,13 +17,7 @@ from scipy import spatial
 
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex import montecarlo
-from alphaduplex.model import (
-    M_PER_KM,
-    Direction,
-    SystemParams,
-    max_inversion_radius_m,
-    noise_variance,
-)
+from alphaduplex.model import M_PER_KM, Direction, SystemParams, max_inversion_radius_m
 from alphaduplex.montecarlo import (
     EmpiricalMetrics,
     NetworkRealization,
@@ -456,7 +450,7 @@ def batched_link_parts(real, p, rng):
 def core_sinrs(real, fac, p, rng):
     """Uplink and downlink SINRs of the core links, as run_campaign has them."""
     ul, dl = batched_link_parts(real, p, rng)
-    sigma_sq = noise_variance(p).sigma_n_sq
+    sigma_sq = p.sigma_n_sq
     return (montecarlo._uplink_sinr_from_parts(*ul.T, fac, p, sigma_sq),
             montecarlo._downlink_sinr_from_parts(*dl.T, fac, p, sigma_sq))
 
@@ -467,7 +461,7 @@ class TestSinr:
         p0 = dataclasses.replace(REF, beta=0.0)
         sinr, _ = core_sinrs(real, ZERO, p0, np.random.default_rng(5))
         h0 = float(np.random.default_rng(5).exponential())
-        expected = p0.rho * h0 / noise_variance(p0).sigma_n_sq
+        expected = p0.rho * h0 / p0.sigma_n_sq
         assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
 
     def test_single_bs_downlink_reduces_to_snr(self):
@@ -476,7 +470,7 @@ class TestSinr:
         _, sinr = core_sinrs(real, ZERO, p0, np.random.default_rng(6))
         # the uplink link draws its one gain first
         h0 = float(np.random.default_rng(6).exponential(size=2)[1])
-        expected = p0.p_b * h0 * 100.0 ** -p0.eta / noise_variance(p0).sigma_n_sq
+        expected = p0.p_b * h0 * 100.0 ** -p0.eta / p0.sigma_n_sq
         assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
 
     def test_uplink_independent_of_bs_power_when_decoupled(self):
@@ -564,7 +558,7 @@ class TestLinkAssembly:
         # both helpers against the written-out SINRs on per-link oracle parts
         real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
         fac = InterferenceFactors.from_cross(0.3, 0.6)
-        sigma_sq = noise_variance(REF).sigma_n_sq
+        sigma_sq = REF.sigma_n_sq
         ul, dl = link_parts_per_link(real, REF, np.random.default_rng(4))
         assert ul.shape[0] >= 1 and dl.shape[0] >= 1
         h0, bs_sum, ue_sum = ul.T
@@ -689,7 +683,7 @@ class TestEdgeEffects:
         # gains, the added ring's effect on core BER must drown in noise
         p0 = dataclasses.replace(REF, beta=0.0)
         cfg = SimConfig(n_realizations=4, seed=31, region_side=28.0)
-        sigma_sq = noise_variance(p0).sigma_n_sq
+        sigma_sq = p0.sigma_n_sq
         w1, w2 = p0.omega(Direction.UPLINK)
         full_vals, inner_vals = [], []
         for idx in range(cfg.n_realizations):

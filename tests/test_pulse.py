@@ -16,7 +16,6 @@ from alphaduplex.pulse import (
     PulsePair,
     PulseShape,
     carrier_offset,
-    effective_interference_factor,
     interference_factor_grid,
     interference_factors,
     make_pulses,
@@ -146,35 +145,32 @@ class TestInterferenceFactorsType:
 
 class TestEffectiveFactor:
     def test_same_direction_is_exactly_one(self):
-        plan = BandPlan(1e6, 1e6, 0.3)
-        pu, pd = make_pulses(RT_PAIR, plan)
-        for d in Direction:
-            val, sq = effective_interference_factor(d, d, plan, pu, pd)
-            assert val == 1.0 + 0.0j
-            assert sq == 1.0
+        for alpha in (0.0, 0.3, 1.0):
+            fac = rt_factors(alpha)
+            assert fac.i_uu_sq == 1.0 and fac.i_dd_sq == 1.0
 
     def test_dense_grid_oracle(self):
-        # independent trapezoid evaluation of the correlation integral
+        # independent trapezoid evaluation of both correlation integrals,
+        # each over its victim's band with the aggressor shifted onto it
         plan = BandPlan(1e6, 1e6, 0.4)
         pu, pd = make_pulses(RT_PAIR, plan)
-        val, sq = effective_interference_factor(
-            Direction.UPLINK, Direction.DOWNLINK, plan, pu, pd)
-        half = 0.5 * plan.accessible_bandwidth(Direction.UPLINK)
-        f = np.linspace(-half, half, 2_000_001)
-        oracle = np.trapezoid(
-            spectrum(pd, f - plan.carrier_offset) * spectrum(pu, f), f)
-        assert val.real == pytest.approx(oracle, rel=1e-7)
-        assert sq == pytest.approx(oracle ** 2, rel=1e-6)
+        fac = interference_factors(plan, pu, pd)
+        for victim, aggressor, shift, sq in (
+                (pu, pd, plan.carrier_offset, fac.i_du_sq),
+                (pd, pu, -plan.carrier_offset, fac.i_ud_sq)):
+            half = 0.5 * victim.allocated_band
+            f = np.linspace(-half, half, 2_000_001)
+            oracle = np.trapezoid(
+                spectrum(aggressor, f - shift) * spectrum(victim, f), f)
+            assert sq == pytest.approx(oracle ** 2, rel=1e-6)
 
     def test_adjacent_channel_leakage_positive(self):
         # alpha = 0, rect/rect: out-of-band ripples still leak
         plan = BandPlan(1e6, 1e6, 0.0)
         pair = PulsePair(uplink=PulseKind.RECTANGULAR,
                          downlink=PulseKind.RECTANGULAR)
-        pu, pd = make_pulses(pair, plan)
-        _, sq = effective_interference_factor(
-            Direction.UPLINK, Direction.DOWNLINK, plan, pu, pd)
-        assert sq > 0.0
+        fac = interference_factors(plan, *make_pulses(pair, plan))
+        assert fac.i_du_sq > 0.0 and fac.i_ud_sq > 0.0
 
     @pytest.mark.parametrize("kind", list(PulseKind))
     def test_same_pulse_both_directions_symmetric(self, kind):
@@ -241,8 +237,7 @@ class TestEffectiveFactor:
         pu = PulseShape(PulseKind.TRIANGULAR, 1e6)  # should be 1.5e6
         pd = PulseShape(PulseKind.RECTANGULAR, 1.5e6)
         with pytest.raises(ValueError):
-            effective_interference_factor(
-                Direction.UPLINK, Direction.DOWNLINK, plan, pu, pd)
+            interference_factors(plan, pu, pd)
 
 
 ALL_PAIRS = [PulsePair(u, d) for u in PulseKind for d in PulseKind]
@@ -272,16 +267,6 @@ class TestBatchedFactors:
             for fac, (plan, pulses) in zip(grid, self.cases(pair, ratio, alphas)):
                 assert fac == factors_per_lobe(plan, *pulses), (ratio, plan.alpha)
                 assert interference_factors(plan, *pulses) == fac
-
-    def test_signed_correlation_bit_equal(self):
-        for plan, pulses in self.cases(RT_PAIR, 0.5, COARSE):
-            for victim, aggressor in ((Direction.UPLINK, Direction.DOWNLINK),
-                                      (Direction.DOWNLINK, Direction.UPLINK)):
-                val, sq = effective_interference_factor(
-                    victim, aggressor, plan, *pulses)
-                ref = factor_per_lobe(victim, plan, *pulses)
-                assert val == complex(ref)
-                assert sq == min(ref * ref, 1.0)
 
     @staticmethod
     def count_integrand_calls(monkeypatch):
@@ -344,8 +329,10 @@ class TestBatchedFactors:
         pair = PulsePair(PulseKind.RECTANGULAR, PulseKind.RECTANGULAR)
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-30)
         alphas = np.linspace(0.0, 1.0, 11).tolist()
-        expected = [factors_per_lobe(plan, *pulses, spec)
-                    for plan, pulses in self.cases(pair, 0.1, alphas)]
+        cases = [(plan, *pulses)
+                 for plan, pulses in self.cases(pair, 0.1, alphas)]
+        expected = [tuple(factor_per_lobe(victim, *case, spec)
+                          for victim in Direction) for case in cases]
         fallbacks = []
         real = specfun.adaptive_quad
 
@@ -354,7 +341,7 @@ class TestBatchedFactors:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(specfun, "adaptive_quad", counted)
-        assert interference_factor_grid(1e5, 1e6, pair, alphas, spec) == expected
+        assert pulse._correlations(cases, spec) == expected
         assert 0 < len(fallbacks) < sum(self.n_lobes(pair, 0.1, alphas))
 
     def test_empty_grid(self):
