@@ -252,6 +252,40 @@ class TestBerAssembly:
             assert ber_uplink(alpha, fac, REF).ber == pytest.approx(ul, rel=1e-7)
             assert ber_downlink(alpha, fac, REF).ber == pytest.approx(dl, rel=1e-7)
 
+    # float.hex of (i_du_sq, i_ud_sq) per alpha, and of (uplink BER,
+    # downlink BER) per (eta, alpha), defaults otherwise: a refactor of the
+    # closed forms must leave every bit where it is
+    FROZEN_FACTOR_BITS = {
+        0.0: ("0x1.e047ec5070e62p-12", "0x1.2ed8abe1099c8p-11"),
+        0.3: ("0x1.c41f8c9317a8ap-10", "0x1.c931b9bd7206fp-6"),
+        0.7: ("0x1.54c4ae43270f1p-1", "0x1.57581e0aa99c2p-1"),
+        1.0: ("0x1.e95ac8dd0275ep-1", "0x1.e95ac8dd0275ep-1"),
+    }
+    FROZEN_BER_BITS = {
+        (4.0, 0.0): ("0x1.caa1b91faa854p-3", "0x1.ef48341cb3958p-4"),
+        (4.0, 0.3): ("0x1.71697714a2f9cp-2", "0x1.1c562ff8b5208p-3"),
+        (4.0, 0.7): ("0x1.e62e997c84ab0p-1", "0x1.224f1edd4f67ep-2"),
+        (4.0, 1.0): ("0x1.ea7153cae3b42p-1", "0x1.3e4336ca18132p-2"),
+        (3.5, 0.0): ("0x1.9e6e1b0f051d0p-2", "0x1.080cde8749f7ap-2"),
+        (3.5, 0.3): ("0x1.059c3811ac22cp-1", "0x1.090429a90a306p-2"),
+        (3.5, 0.7): ("0x1.eb82721361fe8p-1", "0x1.1a2eb34245fc8p-2"),
+        (3.5, 1.0): ("0x1.eee390f8495b0p-1", "0x1.1ff457f57a52ap-2"),
+        (3.0, 0.0): ("0x1.3830d23067226p-1", "0x1.4ec5e317ef0d8p-2"),
+        (3.0, 0.3): ("0x1.795a0b83308e0p-1", "0x1.4ec70ebc57cfep-2"),
+        (3.0, 0.7): ("0x1.f7d27c00d6080p-1", "0x1.4ee290821b4f0p-2"),
+        (3.0, 1.0): ("0x1.f92cac6395ee3p-1", "0x1.4eeec1dff44c8p-2"),
+    }
+
+    def test_frozen_bits(self):
+        factors = {alpha: rt_factors(alpha) for alpha in self.FROZEN_FACTOR_BITS}
+        for alpha, (du, ud) in self.FROZEN_FACTOR_BITS.items():
+            assert factors[alpha].i_du_sq == float.fromhex(du)
+            assert factors[alpha].i_ud_sq == float.fromhex(ud)
+        for (eta, alpha), (ul, dl) in self.FROZEN_BER_BITS.items():
+            p = dataclasses.replace(REF, eta=eta)
+            assert ber_uplink(alpha, factors[alpha], p).ber == float.fromhex(ul)
+            assert ber_downlink(alpha, factors[alpha], p).ber == float.fromhex(dl)
+
     def test_interference_and_noise_free_limit(self):
         clean = dataclasses.replace(REF, lambda_bs=1e-9, beta=0.0, n0=1e-22)
         assert ber_uplink(0.0, ZERO, clean).ber < 1e-9
