@@ -17,11 +17,13 @@ The chain has three layers:
          = w1 - (w1/sqrt(pi)) int_0^inf L_y(z/w2) e^(-z(1+b/w2)) / sqrt(z) dz,
    which turns the conditional-BER average into a single semi-infinite
    integral of the interference LT.
-3. Assembly per direction: the uplink SINR is normalized by rho (power
-   control pins the mean received power), the downlink by P_b r_o^(-eta),
-   and the downlink result is additionally averaged over the serving
-   distance; its inner r_o integral is evaluated by one adaptive quadrature
-   over the family of all outer z nodes at once.  The exponents' s-free
+3. Assembly per direction, both through that one identity
+   (``hamdi_average``): the uplink SINR is normalized by rho (power
+   control pins the mean received power), with y its interference and b
+   its self-interference and noise; the downlink is normalized by
+   P_b r_o^(-eta), and its LT, with b = 0, is the serving-distance average
+   of the conditional LT times e^(-s b(r_o)), one adaptive quadrature over
+   r_o for the family of all z nodes at once.  The exponents' s-free
    constants, E[P_u^(2/eta)] among them, are computed once per BER, and
    each integrand point takes one exp of the summed exponents.
 """
@@ -39,7 +41,7 @@ from .model import (
     max_inversion_radius_m,
     uplink_power_moment,
 )
-from .pulse import BandPlan, InterferenceFactors
+from .pulse import InterferenceFactors, link_throughput
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -86,8 +88,7 @@ class LinkMetrics:
 
 def _metrics(direction: Direction, alpha: float, ber: float,
              p: SystemParams) -> LinkMetrics:
-    bandwidth = BandPlan(p.b_u, p.b_d, alpha).accessible_bandwidth(direction)
-    throughput = math.log2(p.m_symbols) * bandwidth * (1.0 - ber)
+    bandwidth, throughput = link_throughput(p, direction, alpha, ber)
     return LinkMetrics(direction=direction, alpha=alpha, ber=ber,
                        bandwidth=bandwidth, throughput=throughput)
 
@@ -114,7 +115,7 @@ def _x_hyp2f1(b: float, x):
 # Exponent factories: each binds the s-free constants of one source's LT
 # exponent, -ln L, and returns it as a function of s (and of the serving
 # distance r in meters for the downlink).  The public transforms and the
-# BER integrands share them; ``moment`` is E[P_u^(2/eta)].
+# BER integrands share them.
 
 def _bs_on_uplink(factors: InterferenceFactors, p: SystemParams):
     q = 2.0 / p.eta
@@ -123,10 +124,10 @@ def _bs_on_uplink(factors: InterferenceFactors, p: SystemParams):
     return lambda s: k * s ** q
 
 
-def _ue_on_uplink(p: SystemParams, moment: float):
+def _ue_on_uplink(p: SystemParams):
     b = 1.0 - 2.0 / p.eta
     k = (2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
-         * p.rho ** (-2.0 / p.eta) * moment)
+         * p.rho ** (-2.0 / p.eta) * uplink_power_moment(2.0 / p.eta, p))
     return lambda s: k * _x_hyp2f1(b, s)
 
 
@@ -136,10 +137,9 @@ def _bs_on_downlink(p: SystemParams):
     return lambda s, r: k * r ** 2 * _x_hyp2f1(b, s)
 
 
-def _ue_on_downlink(factors: InterferenceFactors, p: SystemParams,
-                    moment: float):
+def _ue_on_downlink(factors: InterferenceFactors, p: SystemParams):
     # the uplink UE exponent, at the argument s |I_ud|^2 r^eta rho / P_b
-    ue = _ue_on_uplink(p, moment)
+    ue = _ue_on_uplink(p)
     c = factors.i_ud_sq * p.rho / p.p_b
     return lambda s, r: ue(c * s * r ** p.eta)
 
@@ -173,8 +173,7 @@ def lt_ue_on_uplink(s, p: SystemParams):
     (otherwise it would be served closer), an exclusion that shows up as
     the 2F1 factor together with the fractional power moment E[P_u^(2/eta)].
     """
-    moment = uplink_power_moment(2.0 / p.eta, p)
-    return _lt(_ue_on_uplink(p, moment)(_as_float_array(s)))
+    return _lt(_ue_on_uplink(p)(_as_float_array(s)))
 
 
 def lt_bs_on_downlink(s, r_o, p: SystemParams):
@@ -198,8 +197,7 @@ def lt_ue_on_downlink(s, r_o, factors: InterferenceFactors, p: SystemParams):
     """
     s_arr = _as_float_array(s)
     r_arr = _serving_distances(r_o)
-    moment = uplink_power_moment(2.0 / p.eta, p)
-    return _lt(_ue_on_downlink(factors, p, moment)(s_arr, r_arr))
+    return _lt(_ue_on_downlink(factors, p)(s_arr, r_arr))
 
 
 def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float) -> float:
@@ -229,7 +227,7 @@ def ber_uplink(alpha: float, factors: InterferenceFactors,
     omega1, omega2 = p.omega(Direction.UPLINK)
     b_const = (p.beta * p.p_b * factors.i_su_sq + p.sigma_n_sq) / p.rho
     bs = _bs_on_uplink(factors, p)
-    ue = _ue_on_uplink(p, uplink_power_moment(2.0 / p.eta, p))
+    ue = _ue_on_uplink(p)
 
     def lt(s):
         return np.exp(-(bs(s) + ue(s)))
@@ -242,9 +240,9 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
                  p: SystemParams) -> LinkMetrics:
     """Spatially averaged downlink BER and throughput at overlap ``alpha``.
 
-    Double integral: the averaging identity's z integral outside, the
-    serving-distance average inside, with the interference LT conditioned
-    on r_o.
+    The averaging identity with b = 0, applied to the interference LT
+    averaged over the serving distance: the noise and self-interference
+    scale with r_o, so they ride inside that average as e^(-s b(r_o)).
     """
     _check_alpha(alpha)
     omega1, omega2 = p.omega(Direction.DOWNLINK)
@@ -253,12 +251,12 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
     pi_lam = math.pi * p.lambda_per_m2
     norm = -math.expm1(-pi_lam * r_max * r_max)
     bs = _bs_on_downlink(p)
-    ue = _ue_on_downlink(factors, p, uplink_power_moment(2.0 / p.eta, p))
+    ue = _ue_on_downlink(factors, p)
 
-    def averaged_lt(z):
-        # E over the serving distance of L(s | r) e^(-s b(r)) at s = z/w2,
-        # where b(r) = (beta rho |I_sd|^2 r^(2 eta) + sigma^2 r^eta) / P_b
-        s = np.atleast_1d(np.asarray(z, dtype=float))[:, None] / omega2
+    def averaged_lt(s):
+        # E over the serving distance of L(s | r) e^(-s b(r)), where
+        # b(r) = (beta rho |I_sd|^2 r^(2 eta) + sigma^2 r^eta) / P_b
+        s = s[:, None]
 
         def g(r):
             density = 2.0 * pi_lam * r * np.exp(-pi_lam * r * r) / norm
@@ -268,13 +266,7 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
 
         return adaptive_quad(g, 0.0, r_max, _INNER_QUADRATURE)
 
-    def outer(z):
-        z = np.asarray(z, dtype=float)
-        return averaged_lt(z) * np.exp(-z) / np.sqrt(z)
-
-    integral = integrate_semi_infinite(outer, decay_rate=1.0)
-    ber = omega1 - (omega1 / math.sqrt(math.pi)) * integral
-    ber = float(min(max(ber, 0.0), omega1))
+    ber = hamdi_average(averaged_lt, omega1, omega2, 0.0)
     return _metrics(Direction.DOWNLINK, alpha, ber, p)
 
 

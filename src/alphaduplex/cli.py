@@ -34,6 +34,7 @@ from .sweep import (
     NoCrossingError,
     RefinementStallError,
     _evaluate_point,
+    _validated_grid,
     find_operating_points,
     sweep_alpha,
 )
@@ -127,7 +128,7 @@ def _parse_pulse(raw: str, key: str) -> PulseKind:
 
 
 def parse_alpha_grid(spec: str) -> tuple[float, ...]:
-    """Expand 'start:stop:step' into an inclusive increasing grid."""
+    """Expand 'start:stop:step' into an inclusive, strictly increasing grid."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"alpha_grid: expected start:stop:step, got {spec!r}")
@@ -152,10 +153,10 @@ def parse_alpha_grid(spec: str) -> tuple[float, ...]:
         raise ConfigError(f"alpha_grid: {spec!r} gives more than "
                           f"{_MAX_GRID_POINTS} points")
     n = int(math.floor(steps)) + 1
-    grid = [snap(start + i * step) for i in range(n)]
-    if any(not 0.0 <= v <= 1.0 for v in grid):
-        raise ConfigError("alpha_grid: values must lie in [0, 1]")
-    return tuple(grid)
+    try:   # a step below the rounding residue repeats a snapped value
+        return _validated_grid([snap(start + i * step) for i in range(n)])
+    except ValueError as exc:
+        raise ConfigError(f"alpha_grid: {exc}") from None
 
 
 _PARAM_PARSERS = {
@@ -304,16 +305,12 @@ def cmd_factors(cfg: RunConfig, path: str) -> int:
     return EXIT_OK
 
 
-def _analytic_rows(cfg: RunConfig):
-    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
-    for alpha, ul, dl in sr.rows:
-        for m in (ul, dl):
-            yield (m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
-
-
 def cmd_analytic(cfg: RunConfig, path: str) -> int:
+    sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
+    rows = [(m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
+            for alpha, ul, dl in sr.rows for m in (ul, dl)]
     _write_csv(path, ("direction", "alpha", "ber", "bandwidth_hz",
-                      "throughput_bps"), _analytic_rows(cfg))
+                      "throughput_bps"), rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -331,12 +328,12 @@ def cmd_simulate(cfg: RunConfig, path: str) -> int:
 
 def cmd_sweep(cfg: RunConfig, csv_path: str, summary_path: str) -> int:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
-    _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
-               sr.table())
-    try:
+    try:   # before any file is opened: a stalled search leaves none
         lines = find_operating_points(sr, refine_tol=cfg.refine_tol).lines()
     except NoCrossingError:
         lines = ("no_crossing=true",)
+    _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
+               sr.table())
     _write_lines(summary_path, lines)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")

@@ -83,6 +83,17 @@ class SystemParams:
         if self.rho > self.p_u_max:
             raise ValueError(
                 f"rho ({self.rho} W) cannot exceed p_u_max ({self.p_u_max} W)")
+        if self.p_u_max / self.rho == math.inf:
+            raise ValueError("p_u_max / rho must be finite, so that the "
+                             "inversion radius is; got "
+                             f"{self.p_u_max} W / {self.rho} W")
+        if 1.0 - 2.0 / self.eta == 1.0:   # the 2F1 kernel's b = 1 - 2/eta
+            raise ValueError(f"eta must leave 1 - 2/eta below 1 in double "
+                             f"precision, got {self.eta}")
+        pi_lam, _, norm = _inversion_disk(self)
+        if pi_lam * norm == 0.0:   # uplink_power_moment's denominator
+            raise ValueError(f"lambda_bs is too small: pi lambda (1 - e^-c) "
+                             f"underflows to 0 at {self.lambda_bs} /km2")
         # the interference factors integrate about twice this ratio in lobes
         if max(self.b_u, self.b_d) > 1e3 * min(self.b_u, self.b_d):
             raise ValueError("b_u and b_d must lie within a factor 1000 of "
@@ -125,8 +136,14 @@ def uplink_power_moment(a: float, p: SystemParams) -> float:
     """
     if not a > 0.0:
         raise ValueError(f"moment order a must be positive, got {a}")
+    pi_lam, c, norm = _inversion_disk(p)
+    s = a * p.eta / 2.0 + 1.0
+    return p.rho ** a * lower_incomplete_gamma(s, c) / (pi_lam ** (s - 1.0) * norm)
+
+
+def _inversion_disk(p: SystemParams) -> tuple[float, float, float]:
+    # (pi lam, c, 1 - e^-c): c = pi lam (p_u_max/rho)^(2/eta) is the mean BS
+    # count in the inversion disk, 1 - e^-c the chance that it holds one
     pi_lam = math.pi * p.lambda_per_m2
     c = pi_lam * (p.p_u_max / p.rho) ** (2.0 / p.eta)
-    s = a * p.eta / 2.0 + 1.0
-    norm = -math.expm1(-c)
-    return p.rho ** a * lower_incomplete_gamma(s, c) / (pi_lam ** (s - 1.0) * norm)
+    return pi_lam, c, -math.expm1(-c)

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import M_PER_KM, Direction, SystemParams, max_inversion_radius_m
-from .pulse import BandPlan, InterferenceFactors, PulsePair, interference_factor_grid
+from .pulse import (InterferenceFactors, PulsePair, interference_factor_grid,
+                    link_throughput)
 from .specfun import erfc
 
 __all__ = [
@@ -218,6 +219,10 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
     # the owner lies within r_max; the margin absorbs coordinate rounding
     bound = r_max_km * (1 + 1e-9)
+    # candidates are drawn in the inversion disk, or in the disk about the
+    # BS that covers the whole region where that is smaller: the admissible
+    # set, and so the law of the accepted UE, is the same
+    r_draw = min(r_max_km, cfg.region_side * math.sqrt(2.0))
     # a BS nearer a candidate than the owner lies within 2 r_max of it;
     # the expected such neighbours of a BS, an overcount near the edges
     per_bs = p.lambda_bs * math.pi * (2 * bound) ** 2
@@ -273,7 +278,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         # each generator draws the radii, then the angles of its own BSs
         draws = [(rngs[j].random(c), rngs[j].random(c))
                  for j, c in enumerate(counts.tolist()) if c]
-        radius = r_max_km * np.sqrt(np.concatenate([r for r, _ in draws]))
+        radius = r_draw * np.sqrt(np.concatenate([r for r, _ in draws]))
         angle = 2.0 * math.pi * np.concatenate([a for _, a in draws])
         ox, oy = bx.take(unserved), by.take(unserved)
         cx = ox + radius * np.cos(angle)
@@ -418,22 +423,21 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
 
 
 def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
-                            p: SystemParams, sigma_sq: float):
+                            p: SystemParams):
     # rho h0 (exact inversion) over cross-scaled DL, co-channel UL,
     # residual self-interference beta P_b |I_s|^2 and noise
     denom = (factors.i_du_sq * bs_sum + factors.i_uu_sq * ue_sum
-             + p.beta * p.p_b * factors.i_su_sq + sigma_sq)
+             + p.beta * p.p_b * factors.i_su_sq + p.sigma_n_sq)
     return p.rho * h0 / denom
 
 
 def _downlink_sinr_from_parts(h0, bs_sum, ue_sum, r_o_m, own_tx,
-                              factors: InterferenceFactors, p: SystemParams,
-                              sigma_sq: float):
+                              factors: InterferenceFactors, p: SystemParams):
     # P_b h0 r_o^-eta over co-channel DL, cross-scaled UL, residual
     # self-interference beta P_u_o |I_s|^2 at the UE's own power and noise
     num = p.p_b * h0 * r_o_m ** -p.eta
     denom = (factors.i_dd_sq * bs_sum + factors.i_ud_sq * ue_sum
-             + p.beta * own_tx * factors.i_sd_sq + sigma_sq)
+             + p.beta * own_tx * factors.i_sd_sq + p.sigma_n_sq)
     return num / denom
 
 
@@ -442,8 +446,7 @@ def _pooled(direction: Direction, alpha: float, vals: np.ndarray,
     n = vals.size
     mean = float(np.mean(vals))
     std_err = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    bandwidth = BandPlan(p.b_u, p.b_d, alpha).accessible_bandwidth(direction)
-    throughput = math.log2(p.m_symbols) * bandwidth * (1.0 - mean)
+    bandwidth, throughput = link_throughput(p, direction, alpha, mean)
     return EmpiricalMetrics(direction=direction, alpha=alpha, mean_ber=mean,
                             std_err=std_err, n_links=n, bandwidth=bandwidth,
                             throughput=throughput)
@@ -488,16 +491,15 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         raise ValueError("no measurement links fell inside the core window; "
                          "increase n_realizations or the region size")
 
-    sigma_sq = p.sigma_n_sq
     w1_u, w2_u = p.omega(Direction.UPLINK)
     w1_d, w2_d = p.omega(Direction.DOWNLINK)
 
     out = []
     for a, fac in zip(alphas, factors):
-        sinr_u = _uplink_sinr_from_parts(*ul, fac, p, sigma_sq)
+        sinr_u = _uplink_sinr_from_parts(*ul, fac, p)
         vals_u = w1_u * erfc(np.sqrt(w2_u * sinr_u))
         out.append(_pooled(Direction.UPLINK, a, vals_u, p))
-        sinr_d = _downlink_sinr_from_parts(*dl, fac, p, sigma_sq)
+        sinr_d = _downlink_sinr_from_parts(*dl, fac, p)
         vals_d = w1_d * erfc(np.sqrt(w2_d * sinr_d))
         out.append(_pooled(Direction.DOWNLINK, a, vals_d, p))
     return out

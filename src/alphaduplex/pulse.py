@@ -25,10 +25,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
-from .model import Direction
+from .model import Direction, SystemParams
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad, quad_intervals
 
 # Lobes per integrand call, 15 Kronrod nodes on each of their 8 seed panels:
@@ -89,41 +90,44 @@ class BandPlan:
         return self.b_d + self.alpha * self.b
 
 
+def link_throughput(p: SystemParams, direction: Direction, alpha: float,
+                    ber: float) -> tuple[float, float]:
+    """(accessible bandwidth, log2(M) * bandwidth * (1 - ber)) at ``alpha``."""
+    bandwidth = BandPlan(p.b_u, p.b_d, alpha).accessible_bandwidth(direction)
+    return bandwidth, math.log2(p.m_symbols) * bandwidth * (1.0 - ber)
+
+
 @dataclass(frozen=True)
 class InterferenceFactors:
     """The squared effective interference factors at one alpha.
 
-    ``i_du_sq`` scales BS-on-uplink interference (|I_d->u|^2), ``i_ud_sq``
-    UE-on-downlink (|I_u->d|^2).  Residual self-interference is cross-mode
-    interference from the receiver's own transmitter, so the SI factors
-    coincide with the corresponding cross factors; the co-channel factors
-    are unity by the in-band energy normalization.
+    Two are stored: ``i_du_sq`` scales BS-on-uplink interference
+    (|I_d->u|^2), ``i_ud_sq`` UE-on-downlink (|I_u->d|^2).  The other four
+    are derived.  Residual self-interference is cross-mode interference
+    from the receiver's own transmitter, so the SI factors ``i_su_sq`` and
+    ``i_sd_sq`` read the corresponding cross factors; the co-channel
+    factors ``i_uu_sq`` and ``i_dd_sq`` are unity by the in-band energy
+    normalization.
     """
 
     i_du_sq: float
     i_ud_sq: float
-    i_su_sq: float
-    i_sd_sq: float
-    i_uu_sq: float = 1.0
-    i_dd_sq: float = 1.0
+    i_uu_sq: ClassVar[float] = 1.0
+    i_dd_sq: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("i_du_sq", "i_ud_sq", "i_su_sq", "i_sd_sq",
-                     "i_uu_sq", "i_dd_sq"):
+        for name in ("i_du_sq", "i_ud_sq"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.i_su_sq != self.i_du_sq:
-            raise ValueError("i_su_sq must equal i_du_sq (SI is cross-mode)")
-        if self.i_sd_sq != self.i_ud_sq:
-            raise ValueError("i_sd_sq must equal i_ud_sq (SI is cross-mode)")
-        if self.i_uu_sq != 1.0 or self.i_dd_sq != 1.0:
-            raise ValueError("co-channel factors are fixed at 1")
 
-    @classmethod
-    def from_cross(cls, i_du_sq: float, i_ud_sq: float) -> "InterferenceFactors":
-        return cls(i_du_sq=i_du_sq, i_ud_sq=i_ud_sq,
-                   i_su_sq=i_du_sq, i_sd_sq=i_ud_sq)
+    @property
+    def i_su_sq(self) -> float:
+        return self.i_du_sq
+
+    @property
+    def i_sd_sq(self) -> float:
+        return self.i_ud_sq
 
 
 def carrier_offset(b_u: float, b_d: float, alpha: float) -> float:
@@ -264,15 +268,15 @@ def _squared(total: float) -> float:
 
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,
                          pulse_d: PulseShape) -> InterferenceFactors:
-    """All squared factors at the plan's alpha (SI tied to the cross factors)."""
+    """The squared factors at the plan's alpha."""
     (du, ud), = _correlations([(plan, pulse_u, pulse_d)])
-    return InterferenceFactors.from_cross(_squared(du), _squared(ud))
+    return InterferenceFactors(_squared(du), _squared(ud))
 
 
 def interference_factor_grid(b_u: float, b_d: float, pair: PulsePair,
                              alphas) -> list[InterferenceFactors]:
     """``interference_factors`` at every alpha, bit for bit, in one batch."""
     plans = [BandPlan(b_u, b_d, alpha) for alpha in alphas]
-    return [InterferenceFactors.from_cross(_squared(du), _squared(ud))
+    return [InterferenceFactors(_squared(du), _squared(ud))
             for du, ud in _correlations(
                 [(p, *make_pulses(pair, p)) for p in plans])]

@@ -213,7 +213,7 @@ def sweep_alpha(params: SystemParams, pulses: PulsePair,
     """Evaluate both directions at every grid overlap fraction."""
     alphas = _validated_grid(grid)
     factors = interference_factor_grid(params.b_u, params.b_d, pulses, alphas)
-    rows = tuple((a, ber_uplink(a, f, params), ber_downlink(a, f, params))
+    rows = tuple((a, *_evaluate_point(params, a, f))
                  for a, f in zip(alphas, factors))
     return SweepResult(rows=rows, params=params, pulses=pulses)
 

@@ -464,13 +464,14 @@ def sample_realization_per_round(p: SystemParams, cfg,
     bs = rng.random((n_bs, 2)) * cfg.region_side
     tree = cKDTree(bs)
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
+    r_draw = min(r_max_km, cfg.region_side * math.sqrt(2.0))
 
     ue = np.zeros((n_bs, 2))
     dist = np.zeros(n_bs)
     unserved = np.arange(n_bs)
     for _ in range(cfg.candidate_cap):
         m = unserved.size
-        radius = r_max_km * np.sqrt(rng.random(m))
+        radius = r_draw * np.sqrt(rng.random(m))
         angle = 2.0 * math.pi * rng.random(m)
         cand = bs[unserved] + np.column_stack(
             (radius * np.cos(angle), radius * np.sin(angle)))
@@ -591,4 +592,4 @@ def factors_per_lobe(plan, pulse_u, pulse_d) -> InterferenceFactors:
     sq = [min(max(t * t, 0.0), 1.0)
           for t in (factor_per_lobe(v, plan, pulse_u, pulse_d)
                     for v in (Direction.UPLINK, Direction.DOWNLINK))]
-    return InterferenceFactors.from_cross(*sq)
+    return InterferenceFactors(*sq)

@@ -40,8 +40,8 @@ from alphaduplex.sweep import find_operating_points, sweep_alpha
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
-FULL = InterferenceFactors.from_cross(1.0, 1.0)
-HALF = InterferenceFactors.from_cross(0.5, 0.3)
+FULL = InterferenceFactors(1.0, 1.0)
+HALF = InterferenceFactors(0.5, 0.3)
 
 CROSS_VALIDATION_TOL = 0.02
 N_REALIZATIONS = 200

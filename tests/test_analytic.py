@@ -38,9 +38,9 @@ from alphaduplex.pulse import (
 from alphaduplex.specfun import hyp2f1_special
 
 REF = SystemParams()
-FULL = InterferenceFactors.from_cross(1.0, 1.0)
-ZERO = InterferenceFactors.from_cross(0.0, 0.0)
-HALF = InterferenceFactors.from_cross(0.5, 0.3)
+FULL = InterferenceFactors(1.0, 1.0)
+ZERO = InterferenceFactors(0.0, 0.0)
+HALF = InterferenceFactors(0.5, 0.3)
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 
 
@@ -333,13 +333,13 @@ class TestBerAssembly:
         assert ber_downlink(0.3, ZERO, scaled).ber == pytest.approx(base_dl, rel=1e-12)
 
     def test_uplink_ignores_downlink_cross_factor(self):
-        a = InterferenceFactors.from_cross(0.3, 0.1)
-        b = InterferenceFactors.from_cross(0.3, 0.9)
+        a = InterferenceFactors(0.3, 0.1)
+        b = InterferenceFactors(0.3, 0.9)
         assert ber_uplink(0.5, a, REF).ber == ber_uplink(0.5, b, REF).ber
 
     def test_downlink_ignores_uplink_cross_factor(self):
-        a = InterferenceFactors.from_cross(0.1, 0.3)
-        b = InterferenceFactors.from_cross(0.9, 0.3)
+        a = InterferenceFactors(0.1, 0.3)
+        b = InterferenceFactors(0.9, 0.3)
         assert ber_downlink(0.5, a, REF).ber == ber_downlink(0.5, b, REF).ber
 
     def test_metrics_fields(self):

@@ -202,9 +202,22 @@ class TestAlphaGrid:
     def test_rejections(self):
         for bad in ("0:1", "0:1:0", "1:0:0.1", "0:2:0.5", "a:b:c",
                     "nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1.05:0.5",
-                    "0:1:5e-324", "0:1:1e-12"):
+                    "0:1:5e-324", "0:1:1e-12", "0:1e-13:1e-14"):
             with pytest.raises(ConfigError):
                 parse_alpha_grid(bad)
+
+    @pytest.mark.parametrize("command", ["factors", "analytic", "sweep",
+                                         "validate"])
+    def test_grid_repeated_by_snapping(self, tmp_path, capsys, command):
+        # 0, 1e-14, ... all snap to 0: the grid repeats a value
+        rc = cli.main([command, "--out", str(tmp_path / "out"),
+                       "--alpha-grid", "0:1e-13:1e-14"])
+        assert rc == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "config",
+            "message": "alpha_grid: grid must be strictly increasing"}
+        assert not (tmp_path / "out").exists()
 
 
 class TestCommands:
@@ -354,6 +367,7 @@ class TestCommands:
         err = json.loads(lines[0])
         assert err["error"] == "refinement"
         assert "stalled" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_brent_stall_exit_code(self, tmp_path, monkeypatch, capsys):
         # two iterations cannot polish a crossing bracket of the reference
@@ -367,6 +381,7 @@ class TestCommands:
         err = json.loads(lines[0])
         assert err["error"] == "refinement"
         assert "did not converge in 2 iterations" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorHandling:
@@ -387,17 +402,25 @@ class TestErrorHandling:
         ("analytic", "[params]\neta = inf\n"),
         ("simulate", "[sim]\nregion_side = inf km\n"),
         ("simulate", "[sim]\nregion_side = 1e200 km\n"),
+        # E[P_u^(2/eta)] divided by zero
+        ("analytic", "[params]\nlambda_bs = 1e-300 /km2\n"),
+        # 1 - 2/eta rounded to 1, outside the 2F1 kernel's range
+        ("analytic", "[params]\neta = 1e150\n"),
+        # an infinite inversion radius
+        ("analytic", "[params]\np_u_max = 1e300 W\nrho = 1e-320 W\n"),
     ], ids=["b_u_inf", "p_b_inf", "p_b_overflow", "eta_inf", "region_inf",
-            "region_overflow"])
+            "region_overflow", "lambda_underflow", "eta_huge",
+            "inversion_radius_inf"])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
                                                  command, config):
         ini = tmp_path / "cfg.ini"
         ini.write_text(config)
-        rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path),
-                       "--alpha-grid", "0:1:0.5"])
+        rc = cli.main([command, "--config", str(ini), "--out",
+                       str(tmp_path / "out"), "--alpha-grid", "0:1:0.5"])
         assert rc == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "config"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config", [
         "[params]\nb_d = 1e12 Hz\n",

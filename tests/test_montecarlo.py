@@ -44,8 +44,8 @@ from mc_oracles import (
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
-ZERO = InterferenceFactors.from_cross(0.0, 0.0)
-FULL = InterferenceFactors.from_cross(1.0, 1.0)
+ZERO = InterferenceFactors(0.0, 0.0)
+FULL = InterferenceFactors(1.0, 1.0)
 
 
 def single_bs_realization(serving_km: float = 0.1) -> NetworkRealization:
@@ -99,6 +99,22 @@ class TestSampling:
         cfg = SimConfig(n_realizations=1, seed=3, candidate_cap=1)
         with pytest.raises(StarvationError):
             sample_realization(REF, cfg, 0)
+
+    def test_inversion_radius_beyond_the_region(self):
+        # r_max is about 1e62 km, so nearly every candidate drawn in the
+        # inversion disk fell outside the 4 km region and the BSs starved;
+        # drawn in the disk about the BS that covers the region, they land
+        p = dataclasses.replace(REF, p_u_max=1e250)
+        cfg = SimConfig(n_realizations=2, seed=1, region_side=4.0,
+                        candidate_cap=10_000)
+        for idx in range(2):
+            real = sample_realization(p, cfg, idx)
+            assert_same_realization(real, sample_realization_per_round(p, cfg, idx))
+            assert np.all(real.serving_distance <= 4.0 * math.sqrt(2.0))
+            assert np.all((real.ue_positions >= 0.0) & (real.ue_positions <= 4.0))
+            d_all = np.linalg.norm(real.ue_positions[:, None, :]
+                                   - real.bs_positions[None, :, :], axis=2)
+            assert np.array_equal(d_all.argmin(axis=1), np.arange(real.n_bs))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -450,9 +466,8 @@ def batched_link_parts(real, p, rng):
 def core_sinrs(real, fac, p, rng):
     """Uplink and downlink SINRs of the core links, as run_campaign has them."""
     ul, dl = batched_link_parts(real, p, rng)
-    sigma_sq = p.sigma_n_sq
-    return (montecarlo._uplink_sinr_from_parts(*ul.T, fac, p, sigma_sq),
-            montecarlo._downlink_sinr_from_parts(*dl.T, fac, p, sigma_sq))
+    return (montecarlo._uplink_sinr_from_parts(*ul.T, fac, p),
+            montecarlo._downlink_sinr_from_parts(*dl.T, fac, p))
 
 
 class TestSinr:
@@ -475,7 +490,7 @@ class TestSinr:
 
     def test_uplink_independent_of_bs_power_when_decoupled(self):
         real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
-        fac = InterferenceFactors.from_cross(0.0, 0.4)
+        fac = InterferenceFactors(0.0, 0.4)
         p0 = dataclasses.replace(REF, beta=0.0)
         p_big = dataclasses.replace(p0, p_b=50.0)
         a, _ = core_sinrs(real, fac, p0, np.random.default_rng(8))
@@ -557,18 +572,18 @@ class TestLinkAssembly:
     def test_sinr_views_match_oracle_parts(self):
         # both helpers against the written-out SINRs on per-link oracle parts
         real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
-        fac = InterferenceFactors.from_cross(0.3, 0.6)
+        fac = InterferenceFactors(0.3, 0.6)
         sigma_sq = REF.sigma_n_sq
         ul, dl = link_parts_per_link(real, REF, np.random.default_rng(4))
         assert ul.shape[0] >= 1 and dl.shape[0] >= 1
         h0, bs_sum, ue_sum = ul.T
         assert np.array_equal(
-            montecarlo._uplink_sinr_from_parts(*ul.T, fac, REF, sigma_sq),
+            montecarlo._uplink_sinr_from_parts(*ul.T, fac, REF),
             REF.rho * h0 / (fac.i_du_sq * bs_sum + fac.i_uu_sq * ue_sum
                             + REF.beta * REF.p_b * fac.i_su_sq + sigma_sq))
         h0, bs_sum, ue_sum, r_o_m, own_tx = dl.T
         assert np.array_equal(
-            montecarlo._downlink_sinr_from_parts(*dl.T, fac, REF, sigma_sq),
+            montecarlo._downlink_sinr_from_parts(*dl.T, fac, REF),
             REF.p_b * h0 * r_o_m ** -REF.eta / (
                 fac.i_dd_sq * bs_sum + fac.i_ud_sq * ue_sum
                 + REF.beta * own_tx * fac.i_sd_sq + sigma_sq))

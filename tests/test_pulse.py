@@ -1,5 +1,7 @@
 """Tests for pulse spectra, band plans, and effective interference factors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,24 +125,16 @@ class TestSpectrum:
 class TestInterferenceFactorsType:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            InterferenceFactors(i_du_sq=1.2, i_ud_sq=0.1, i_su_sq=1.2, i_sd_sq=0.1)
+            InterferenceFactors(i_du_sq=1.2, i_ud_sq=0.1)
         with pytest.raises(ValueError):
-            InterferenceFactors(i_du_sq=-0.1, i_ud_sq=0.1, i_su_sq=-0.1,
-                                i_sd_sq=0.1)
+            InterferenceFactors(i_du_sq=0.2, i_ud_sq=-0.1)
 
-    def test_si_must_match_cross(self):
-        with pytest.raises(ValueError):
-            InterferenceFactors(i_du_sq=0.2, i_ud_sq=0.1, i_su_sq=0.3, i_sd_sq=0.1)
-
-    def test_cochannel_pinned(self):
-        with pytest.raises(ValueError):
-            InterferenceFactors(i_du_sq=0.2, i_ud_sq=0.1, i_su_sq=0.2,
-                                i_sd_sq=0.1, i_uu_sq=0.9)
-
-    def test_from_cross(self):
-        fac = InterferenceFactors.from_cross(0.2, 0.1)
+    def test_derived_factors(self):
+        # SI reads the cross factors; the co-channel factors are exactly 1
+        fac = InterferenceFactors(0.2, 0.1)
         assert fac.i_su_sq == 0.2 and fac.i_sd_sq == 0.1
         assert fac.i_uu_sq == 1.0 and fac.i_dd_sq == 1.0
+        assert [f.name for f in dataclasses.fields(fac)] == ["i_du_sq", "i_ud_sq"]
 
 
 class TestEffectiveFactor:

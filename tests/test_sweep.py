@@ -32,7 +32,7 @@ from alphaduplex.sweep import (
 
 REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
-ZERO = InterferenceFactors.from_cross(0.0, 0.0)
+ZERO = InterferenceFactors(0.0, 0.0)
 
 
 def pin_zero_factors(monkeypatch):
