@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -55,6 +56,13 @@ _MAX_GRID_POINTS = 100_001
 _MAX_EXPECTED_BS = 1e6   # lambda_bs * region_side^2; the reference has 1200
 _DEFAULT_N_REALIZATIONS = 100
 _DEFAULT_SEED = 1
+
+# glibc mallopt parameters, and the values its own heuristic reaches after
+# a 32 MB block is freed: blocks below 32 MB come from the heap, and up to
+# 64 MB of free heap top is kept
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 class ConfigError(ValueError):
@@ -440,12 +448,33 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _keep_free_heap() -> None:
+    """Fix glibc's heap thresholds at the values its heuristic grows to.
+
+    The quadratures and the campaign free and reallocate numpy temporaries
+    thousands of times per command.  Under glibc's starting thresholds,
+    whether that memory goes back to the kernel between uses depends on the
+    heap's layout, which shifts with the paths and environment of the run:
+    where it does, a reference sweep takes about 12,000 extra minor page
+    faults, a third more time.  A C library without mallopt keeps its own
+    policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _error_line(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_free_heap()
     command, names = _COMMANDS[args.command]
     try:
         cfg = _load_run_config(args)

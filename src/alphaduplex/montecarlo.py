@@ -183,7 +183,8 @@ def sample_realization(p: SystemParams, cfg: SimConfig,
     square.  Each BS's active UE is uniform on the intersection of its
     Voronoi cell, the region, and its inversion disk of radius
     (P_u^max/rho)^(1/eta); sampled by drawing candidates uniformly in the
-    disk and accepting those whose nearest BS is the owner.  That is
+    disk (capped at the region's diagonal, a disk that already covers the
+    region) and accepting those whose nearest BS is the owner.  That is
     distributionally identical to scattering candidates over the whole
     region and letting each cell keep its first admissible one, but the
     acceptance rate stays O(1) per BS.
@@ -219,9 +220,8 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
     # the owner lies within r_max; the margin absorbs coordinate rounding
     bound = r_max_km * (1 + 1e-9)
-    # candidates are drawn in the inversion disk, or in the disk about the
-    # BS that covers the whole region where that is smaller: the admissible
-    # set, and so the law of the accepted UE, is the same
+    # a disk about the BS as wide as the region's diagonal covers the
+    # region, so a cap there leaves the admissible set, and the law, as is
     r_draw = min(r_max_km, cfg.region_side * math.sqrt(2.0))
     # a BS nearer a candidate than the owner lies within 2 r_max of it;
     # the expected such neighbours of a BS, an overcount near the edges

@@ -347,6 +347,24 @@ class TestCommands:
         assert err["error"] == "starvation"
         assert err["message"]
 
+    def test_heap_thresholds_fixed_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = type("Libc", (), {"mallopt": staticmethod(mallopt)})
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli.main(["factors", "--out", str(tmp_path),
+                         "--alpha-grid", "0:0:1"]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_c_library_without_mallopt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli.main(["factors", "--out", str(tmp_path),
+                         "--alpha-grid", "0:0:1"]) == 0
+
     def test_quadrature_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
