@@ -57,13 +57,6 @@ _MAX_EXPECTED_BS = 1e6   # lambda_bs * region_side^2; the reference has 1200
 _DEFAULT_N_REALIZATIONS = 100
 _DEFAULT_SEED = 1
 
-# glibc mallopt parameters, and the values its own heuristic reaches after
-# a 32 MB block is freed: blocks below 32 MB come from the heap, and up to
-# 64 MB of free heap top is kept
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 64 << 20
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -456,16 +449,17 @@ def _keep_free_heap() -> None:
     whether that memory goes back to the kernel between uses depends on the
     heap's layout, which shifts with the paths and environment of the run:
     where it does, a reference sweep takes about 12,000 extra minor page
-    faults, a third more time.  A C library without mallopt keeps its own
-    policy.
+    faults and up to a third more run time.  The values are those glibc
+    reaches after freeing a 32 MB block.  A C library without mallopt keeps
+    its policy.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: blocks below 32 MB from the heap
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD: up to 64 MB free at its top kept
 
 
 def _error_line(kind: str, message: str) -> None:
