@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import ctypes
 import dataclasses
 import json
 import math
@@ -26,7 +25,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .model import Direction, SystemParams, db_to_linear, dbm_to_watts
+from .model import (Direction, SystemParams, check_closed_form_domain,
+                    db_to_linear, dbm_to_watts)
 from .montecarlo import SimConfig, StarvationError, run_campaign
 from .pulse import PulseKind, PulsePair, interference_factor_grid
 from .specfun import QuadratureError
@@ -280,6 +280,13 @@ def _check_expected_bs(cfg: RunConfig) -> None:
                           f"{_MAX_EXPECTED_BS:g}")
 
 
+def _check_closed_forms(cfg: RunConfig) -> None:
+    try:   # analytic, sweep and validate evaluate the closed forms
+        check_closed_form_domain(cfg.params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _out_paths(cfg: RunConfig, names) -> list:
     # checked before the command does any work: a bad name leaves no outputs
     try:
@@ -441,39 +448,19 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _keep_free_heap() -> None:
-    """Fix glibc's heap thresholds at the values its heuristic grows to.
-
-    The quadratures and the campaign free and reallocate numpy temporaries
-    thousands of times per command.  Under glibc's starting thresholds,
-    whether that memory goes back to the kernel between uses depends on the
-    heap's layout, which shifts with the paths and environment of the run:
-    where it does, a reference sweep takes about 12,000 extra minor page
-    faults and up to a third more run time.  The values are those glibc
-    reaches after freeing a 32 MB block.  A C library without mallopt keeps
-    its policy.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: blocks below 32 MB from the heap
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD: up to 64 MB free at its top kept
-
-
 def _error_line(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _keep_free_heap()
     command, names = _COMMANDS[args.command]
     try:
         cfg = _load_run_config(args)
         if args.command in ("simulate", "validate"):
             _check_expected_bs(cfg)
+        if args.command in ("analytic", "sweep", "validate"):
+            _check_closed_forms(cfg)
         paths = _out_paths(cfg, names)
     except ConfigError as exc:
         _error_line("config", str(exc))

@@ -83,17 +83,6 @@ class SystemParams:
         if self.rho > self.p_u_max:
             raise ValueError(
                 f"rho ({self.rho} W) cannot exceed p_u_max ({self.p_u_max} W)")
-        if self.p_u_max / self.rho == math.inf:
-            raise ValueError("p_u_max / rho must be finite, so that the "
-                             "inversion radius is; got "
-                             f"{self.p_u_max} W / {self.rho} W")
-        if 1.0 - 2.0 / self.eta == 1.0:   # the 2F1 kernel's b = 1 - 2/eta
-            raise ValueError(f"eta must leave 1 - 2/eta below 1 in double "
-                             f"precision, got {self.eta}")
-        pi_lam, _, norm = _inversion_disk(self)
-        if pi_lam * norm == 0.0:   # uplink_power_moment's denominator
-            raise ValueError(f"lambda_bs is too small: pi lambda (1 - e^-c) "
-                             f"underflows to 0 at {self.lambda_bs} /km2")
         # the interference factors integrate about twice this ratio in lobes
         if max(self.b_u, self.b_d) > 1e3 * min(self.b_u, self.b_d):
             raise ValueError("b_u and b_d must lie within a factor 1000 of "
@@ -124,6 +113,24 @@ class SystemParams:
 def max_inversion_radius_m(p: SystemParams) -> float:
     """Largest serving distance (meters) a UE can invert: (p_u_max/rho)^(1/eta)."""
     return (p.p_u_max / p.rho) ** (1.0 / p.eta)
+
+
+def check_closed_form_domain(p: SystemParams) -> None:
+    """Raise ValueError where the closed forms cannot evaluate p.
+
+    Each bound is the exact condition under which they fail; the
+    interference factors and the simulation read none of them.
+    """
+    if p.p_u_max / p.rho == math.inf:
+        raise ValueError("p_u_max / rho must be finite, so that the "
+                         f"inversion radius is; got {p.p_u_max} W / {p.rho} W")
+    if 1.0 - 2.0 / p.eta == 1.0:   # the 2F1 kernel's b = 1 - 2/eta
+        raise ValueError(f"eta must leave 1 - 2/eta below 1 in double "
+                         f"precision, got {p.eta}")
+    pi_lam, _, norm = _inversion_disk(p)
+    if pi_lam * norm == 0.0:   # uplink_power_moment's denominator
+        raise ValueError(f"lambda_bs is too small: pi lambda (1 - e^-c) "
+                         f"underflows to 0 at {p.lambda_bs} /km2")
 
 
 def uplink_power_moment(a: float, p: SystemParams) -> float:

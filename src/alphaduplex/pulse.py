@@ -114,20 +114,14 @@ class InterferenceFactors:
     i_ud_sq: float
     i_uu_sq: ClassVar[float] = 1.0
     i_dd_sq: ClassVar[float] = 1.0
+    i_su_sq = property(lambda self: self.i_du_sq)
+    i_sd_sq = property(lambda self: self.i_ud_sq)
 
     def __post_init__(self) -> None:
         for name in ("i_du_sq", "i_ud_sq"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-    @property
-    def i_su_sq(self) -> float:
-        return self.i_du_sq
-
-    @property
-    def i_sd_sq(self) -> float:
-        return self.i_ud_sq
 
 
 def carrier_offset(b_u: float, b_d: float, alpha: float) -> float:

@@ -347,24 +347,6 @@ class TestCommands:
         assert err["error"] == "starvation"
         assert err["message"]
 
-    def test_heap_thresholds_fixed_before_any_work(self, tmp_path, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        libc = type("Libc", (), {"mallopt": staticmethod(mallopt)})
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-        assert cli.main(["factors", "--out", str(tmp_path),
-                         "--alpha-grid", "0:0:1"]) == 0
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
-
-    def test_c_library_without_mallopt(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        assert cli.main(["factors", "--out", str(tmp_path),
-                         "--alpha-grid", "0:0:1"]) == 0
-
     def test_quadrature_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
@@ -584,6 +566,31 @@ class TestErrorHandling:
         summary = (tmp_path / "summary.txt").read_text()
         assert summary == "no_crossing=true\n"
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("params", [
+        "lambda_bs = 1e-300 /km2", "eta = 1e150",
+        "p_u_max = 1e300 W\nrho = 1e-320 W"],
+        ids=["lambda_underflow", "eta_huge", "inversion_radius_inf"])
+    def test_closed_form_bounds_bind_only_closed_form_commands(
+            self, tmp_path, capsys, params):
+        # the factors read none of these values and keep their output
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[params]\n{params}\n")
+        grid = ["--alpha-grid", "0:1:0.5"]
+        assert cli.main(["factors", "--out", str(tmp_path / "ref")]
+                        + grid) == EXIT_OK
+        assert cli.main(["factors", "--config", str(ini),
+                         "--out", str(tmp_path / "factors")] + grid) == EXIT_OK
+        assert ((tmp_path / "factors" / "factors.csv").read_bytes()
+                == (tmp_path / "ref" / "factors.csv").read_bytes())
+        capsys.readouterr()
+        for command in ("analytic", "sweep", "validate"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(ini),
+                             "--out", str(out)] + grid) == EXIT_CONFIG
+            (line,) = capsys.readouterr().err.splitlines()
+            assert json.loads(line)["error"] == "config"
+            assert not out.exists()
 
     def test_bad_flag_values(self, tmp_path, capsys):
         assert cli.main(["analytic", "--out", str(tmp_path),
