@@ -118,8 +118,8 @@ def max_inversion_radius_m(p: SystemParams) -> float:
 def check_closed_form_domain(p: SystemParams) -> None:
     """Raise ValueError where the closed forms cannot evaluate p.
 
-    Each bound is the exact condition under which they fail; the
-    interference factors and the simulation read none of them.
+    Each bound is the exact condition under which they fail, so every
+    value they can evaluate keeps its result.
     """
     if p.p_u_max / p.rho == math.inf:
         raise ValueError("p_u_max / rho must be finite, so that the "
