@@ -22,7 +22,7 @@ p = SystemParams()
 pair = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 
 sr = sweep_alpha(p, pair, np.linspace(0.0, 1.0, 101))
-points = find_operating_points(sr, refine_tol=1e-9)
+points = find_operating_points(sr)
 
 print(f"{'alpha':>6s} {'t_ul [Mb/s]':>12s} {'t_dl [Mb/s]':>12s}")
 for alpha, t_ul, t_dl, _, _ in sr.table()[::10]:

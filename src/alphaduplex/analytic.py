@@ -264,7 +264,10 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
                    + sigma_sq * r ** p.eta) / p.p_b
             return density * np.exp(-(bs(s, r) + ue(s, r) + s * b_r))
 
-        return adaptive_quad(g, 0.0, r_max, _INNER_QUADRATURE)
+        # beyond sqrt(745 / (pi lam)) the density is below the smallest
+        # double: panels over a far larger r_max would step over all of it
+        return adaptive_quad(g, 0.0, min(r_max, math.sqrt(745.0 / pi_lam)),
+                             _INNER_QUADRATURE)
 
     ber = hamdi_average(averaged_lt, omega1, omega2, 0.0)
     return _metrics(Direction.DOWNLINK, alpha, ber, p)

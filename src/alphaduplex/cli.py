@@ -31,7 +31,6 @@ from .montecarlo import SimConfig, StarvationError, run_campaign
 from .pulse import PulseKind, PulsePair, interference_factor_grid
 from .specfun import QuadratureError
 from .sweep import (
-    _MIN_REFINE_TOL,
     NoCrossingError,
     RefinementStallError,
     _evaluate_point,
@@ -54,8 +53,6 @@ BER_TOLERANCE = 0.02   # cross-validation gate, absolute BER units
 _DEFAULT_GRID = "0:1:0.1"
 _MAX_GRID_POINTS = 100_001
 _MAX_EXPECTED_BS = 1e6   # lambda_bs * region_side^2; the reference has 1200
-_DEFAULT_N_REALIZATIONS = 100
-_DEFAULT_SEED = 1
 
 
 class ConfigError(ValueError):
@@ -71,7 +68,6 @@ class RunConfig:
     pulses: PulsePair
     alpha_grid: tuple[float, ...]
     outputs: str = "."
-    refine_tol: float = 1e-9
 
 
 def _unit_parser(quantity: str, units: dict, hint: str):
@@ -182,7 +178,6 @@ _SIM_PARSERS = {
     "seed": _parse_int,
     "region_side": _parse_length_km,
     "core_side": _parse_length_km,
-    "candidate_cap": _parse_int,
 }
 
 _KNOWN_SECTIONS = ("params", "sim", "pulses", "sweep")
@@ -212,35 +207,16 @@ def parse_config(text: str) -> RunConfig:
         return out
 
     try:
-        params = dataclasses.replace(SystemParams(),
-                                     **section_items("params", _PARAM_PARSERS))
+        params = SystemParams(**section_items("params", _PARAM_PARSERS))
+        sim = SimConfig(**section_items("sim", _SIM_PARSERS))
+        pulses = PulsePair(**section_items(
+            "pulses", {"uplink": _parse_pulse, "downlink": _parse_pulse}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    sim_kwargs = {"n_realizations": _DEFAULT_N_REALIZATIONS,
-                  "seed": _DEFAULT_SEED}
-    sim_kwargs.update(section_items("sim", _SIM_PARSERS))
-    try:
-        sim = SimConfig(**sim_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    pulse_kwargs = {"uplink": PulseKind.TRIANGULAR,
-                    "downlink": PulseKind.RECTANGULAR}
-    pulse_kwargs.update(section_items("pulses", {"uplink": _parse_pulse,
-                                                 "downlink": _parse_pulse}))
-    pulses = PulsePair(**pulse_kwargs)
-
-    sweep_opts = section_items("sweep", {"alpha_grid": lambda raw, key: raw,
-                                         "refine_tol": _parse_float})
+    sweep_opts = section_items("sweep", {"alpha_grid": lambda raw, key: raw})
     alpha_grid = parse_alpha_grid(sweep_opts.get("alpha_grid", _DEFAULT_GRID))
-    refine_tol = sweep_opts.get("refine_tol", 1e-9)
-    if not _MIN_REFINE_TOL <= refine_tol < 1.0:
-        raise ConfigError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1), "
-                          f"got {refine_tol}")
-
-    return RunConfig(params=params, sim=sim, pulses=pulses,
-                     alpha_grid=alpha_grid, refine_tol=refine_tol)
+    return RunConfig(params=params, sim=sim, pulses=pulses, alpha_grid=alpha_grid)
 
 
 def _fmt(value) -> str:
@@ -337,7 +313,7 @@ def cmd_simulate(cfg: RunConfig, path: str) -> int:
 def cmd_sweep(cfg: RunConfig, csv_path: str, summary_path: str) -> int:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
     try:   # before any file is opened: a stalled search leaves none
-        lines = find_operating_points(sr, refine_tol=cfg.refine_tol).lines()
+        lines = find_operating_points(sr).lines()
     except NoCrossingError:
         lines = ("no_crossing=true",)
     _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
@@ -436,10 +412,11 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = parse_config("")
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        cfg = dataclasses.replace(
-            cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
+        try:
+            sim = dataclasses.replace(cfg.sim, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        cfg = dataclasses.replace(cfg, sim=sim)
     if args.alpha_grid is not None:
         cfg = dataclasses.replace(
             cfg, alpha_grid=parse_alpha_grid(args.alpha_grid))

@@ -66,6 +66,9 @@ _BLOCK_ENTRIES = 120_000
 # Relative gap of squared distances within which cKDTree.query decides a
 # candidate; rounding is far smaller, so every decision is the tree's own.
 _TIE_TOL = 1e-12
+# Rejection rounds of UE placement: each round draws one candidate per BS
+# still without a UE, so no BS gets more.
+_CANDIDATE_CAP = 1_000_000
 
 # The rest of the last placed block, (p, cfg, index) -> realization or the
 # StarvationError it raised; sample_realization serves and removes entries.
@@ -89,15 +92,12 @@ class SimConfig:
 
     region_side 20 km gives the 400 km^2 deployment; core_side 2 km keeps
     measurements inside the central 4 km^2 away from region edges.
-    candidate_cap bounds the rejection rounds of UE placement: each round
-    draws one candidate per BS still without a UE, so no BS gets more.
     """
 
-    n_realizations: int
-    seed: int
+    n_realizations: int = 100
+    seed: int = 1
     region_side: float = 20.0   # km
     core_side: float = 2.0      # km
-    candidate_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
@@ -107,8 +107,6 @@ class SimConfig:
         if not 0.0 < self.core_side < self.region_side < math.inf:
             raise ValueError("core_side and region_side must satisfy "
                              "0 < core_side < region_side < inf")
-        if self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -242,20 +240,18 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
                 near = None
             else:
                 entries += 2 * near.shape[0]
-        block.append((near is None, idx, rng, bs, near))
+        block.append((idx, rng, bs, near))
         entries += n_bs
         if entries >= _BLOCK_ENTRIES:
             break
-    # realizations that listed their pairs first: their BSs are the rows
-    # before n_listed, and lead every round's arrays
-    block.sort(key=lambda entry: entry[0])
-    asks_tree, used, rngs, positions, nears = zip(*block)
+    used, rngs, positions, nears = zip(*block)
     trees = [None] * len(used)   # built when a candidate first asks
 
     sizes = np.array([bs.shape[0] for bs in positions])
     starts = np.cumsum(sizes) - sizes
-    n_listed = int(sizes[~np.array(asks_tree)].sum())
     owner_block = np.repeat(np.arange(len(used)), sizes)
+    # the BSs of realizations that listed no pairs: their trees decide
+    asks_tree = np.repeat([near is None for near in nears], sizes)
     bx, by = np.concatenate(positions).T.copy()
     # one row per (unserved BS, neighbour) of the listing realizations:
     # the BS's slot in ``unserved`` and the neighbour's coordinates
@@ -270,7 +266,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
     ue = np.zeros((bx.size, 2))
     dist = np.zeros(bx.size)
     unserved = np.arange(bx.size)
-    for _ in range(cfg.candidate_cap):
+    for _ in range(_CANDIDATE_CAP):
         if unserved.size == 0:
             break
         owner = owner_block.take(unserved)
@@ -284,23 +280,18 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         cx = ox + radius * np.cos(angle)
         cy = oy + radius * np.sin(angle)
         inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
-        ok = np.zeros(unserved.size, dtype=bool)
-        ask = inside
-        # rows before k have neighbour rows, the others skip this
-        k = int(np.searchsorted(unserved, n_listed))
-        if k:
-            # squared distance to the nearest other BS (or the bound),
-            # less d_own
-            d_own = _sum_sq(ox[:k] - cx[:k], oy[:k] - cy[:k])
-            gap = np.full(k, bound * bound)
-            np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
-            gap -= d_own
-            margin = _TIE_TOL * d_own
-            ok[:k] = inside[:k] & (gap > margin)
-            ask[:k] &= np.abs(gap) <= margin
-        # near ties and the rows from k on are the trees' to decide, one
-        # query per realization (rows are sorted by realization)
-        asked = np.flatnonzero(ask)
+        # squared distance to the nearest other listed BS (or the bound),
+        # less d_own
+        d_own = _sum_sq(ox - cx, oy - cy)
+        gap = np.full(unserved.size, bound * bound)
+        np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
+        gap -= d_own
+        margin = _TIE_TOL * d_own
+        tree = asks_tree.take(unserved)
+        ok = inside & (gap > margin) & ~tree
+        # near ties and the rows of tree-side BSs are the trees' to decide,
+        # one query per realization (rows are sorted by realization)
+        asked = np.flatnonzero(inside & (tree | (np.abs(gap) <= margin)))
         own = owner.take(asked)
         head = 0
         while head < asked.size:
@@ -320,7 +311,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         keep = ~ok
         kept = np.flatnonzero(keep)
         unserved = unserved.take(kept)
-        if ok[:k].any():   # else the rows before k keep their slots
+        if hit.size:   # else every row keeps its slot
             rows = np.flatnonzero(keep.take(slot))
             remap = np.empty(ok.size, dtype=np.intp)   # a kept row's new slot
             remap[kept] = np.arange(kept.size)
@@ -333,7 +324,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         if left[j]:
             out[p, cfg, idx] = StarvationError(
                 f"{left[j]} of {sizes[j]} BSs found no admissible UE within "
-                f"{cfg.candidate_cap} candidates each")
+                f"{_CANDIDATE_CAP} candidates each")
             continue
         span = slice(starts[j], starts[j] + sizes[j])
         d = dist[span].copy()

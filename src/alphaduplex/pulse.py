@@ -47,8 +47,8 @@ class PulseKind(enum.Enum):
 class PulsePair:
     """Pulse kinds for the two directions (the bands come from a BandPlan)."""
 
-    uplink: PulseKind
-    downlink: PulseKind
+    uplink: PulseKind = PulseKind.TRIANGULAR
+    downlink: PulseKind = PulseKind.RECTANGULAR
 
 
 @dataclass(frozen=True)

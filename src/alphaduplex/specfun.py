@@ -31,17 +31,14 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrators."""
+    """Tolerances for the adaptive integrators."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -212,6 +209,8 @@ _G_WEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 # Panels of the first pass over an interval: several, so a narrow feature
 # cannot slip between the nodes of a single rule with a tiny error estimate.
 _N_SEED = 8
+# Bisections adaptive_quad may spend before it gives up.
+_MAX_SUBDIVISIONS = 200
 
 
 def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
@@ -253,7 +252,7 @@ def adaptive_quad(f: Callable, a: float, b: float,
     sits, until every component meets its own
     max(abs_tol, rel_tol * |value|).  Each pass calls ``f`` once: on all
     initial panels, then on both halves of each bisected panel.  Raises
-    QuadratureError once ``spec.max_subdivisions`` bisections are spent
+    QuadratureError once ``_MAX_SUBDIVISIONS`` bisections are spent
     without converging.
     """
     edges, vals, errs = _seed_pass(f, np.asarray(a, dtype=float),
@@ -268,9 +267,9 @@ def adaptive_quad(f: Callable, a: float, b: float,
     n = _N_SEED
     while not (total_err <= np.maximum(
             spec.abs_tol, spec.rel_tol * np.abs(total_val))).all():
-        if n == _N_SEED + spec.max_subdivisions:
+        if n == _N_SEED + _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"no convergence after {spec.max_subdivisions} subdivisions "
+                f"no convergence after {_MAX_SUBDIVISIONS} subdivisions "
                 f"(worst error {np.max(total_err):.3e})")
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
@@ -302,8 +301,7 @@ def quad_intervals(integrand: Callable, a: np.ndarray, b: np.ndarray,
     out = value.tolist()
     for j in np.flatnonzero(~ok):
         out[j] = adaptive_quad(integrand(slice(j, j + 1)), a[j], b[j],
-                               QuadratureSpec(spec.rel_tol, abs_tol[j],
-                                              spec.max_subdivisions))
+                               QuadratureSpec(spec.rel_tol, abs_tol[j]))
     return out
 
 

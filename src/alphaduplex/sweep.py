@@ -37,11 +37,12 @@ __all__ = [
     "find_operating_points",
 ]
 
-# densification schedule for the balanced-point search
+# densification schedule and relative balance tolerance of the
+# balanced-point search
 _DENSE_POINTS = 33
 _MAX_DEPTH = 8
 _MAX_WINDOWS = 5
-_MIN_REFINE_TOL = 1e-12
+_REFINE_TOL = 1e-9
 
 # Brent root polish: scipy's ``brentq`` defaults
 _BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps
@@ -221,9 +222,8 @@ def sweep_alpha(params: SystemParams, pulses: PulsePair,
 class _CachedCurves:
     """Memoized re-evaluation of a sweep's throughput curves."""
 
-    def __init__(self, sr: SweepResult, refine_tol: float) -> None:
+    def __init__(self, sr: SweepResult) -> None:
         self._sr = sr
-        self._tol = refine_tol
         self._cache = {alpha: (ul, dl) for alpha, ul, dl in sr.rows}
 
     def point(self, alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
@@ -239,7 +239,7 @@ class _CachedCurves:
     def balanced_at(self, alpha: float) -> bool:
         ul, dl = self.point(alpha)
         return (abs(ul.throughput - dl.throughput)
-                <= self._tol * max(ul.throughput, dl.throughput))
+                <= _REFINE_TOL * max(ul.throughput, dl.throughput))
 
 
 def _scan(curves: _CachedCurves, xs) -> tuple[list, list]:
@@ -386,13 +386,12 @@ def _dedupe(sorted_roots: list[float]) -> list[float]:
     return out
 
 
-def find_operating_points(sr: SweepResult,
-                          refine_tol: float = 1e-9) -> OperatingPoints:
+def find_operating_points(sr: SweepResult) -> OperatingPoints:
     """Locate the balanced and unbalanced overlap fractions of a sweep.
 
     The balanced point is a root of t_ul(alpha) - t_dl(alpha), bracketed
     on (a densification of) the sweep grid, polished by Brent's method and
-    accepted when |t_ul - t_dl| <= refine_tol * max(t_ul, t_dl); with
+    accepted when |t_ul - t_dl| <= _REFINE_TOL * max(t_ul, t_dl); with
     several crossings the one with the largest total throughput wins and
     all are reported.
     The unbalanced point maximizes downlink throughput over the grid
@@ -401,11 +400,9 @@ def find_operating_points(sr: SweepResult,
 
     Raises NoCrossingError when the throughput gap keeps one sign over the
     swept range, and RefinementStallError when Brent's method runs out of
-    iterations or a polished root misses refine_tol.
+    iterations or a polished root misses that tolerance.
     """
-    if not _MIN_REFINE_TOL <= refine_tol < 1.0:
-        raise ValueError(f"refine_tol must lie in [{_MIN_REFINE_TOL}, 1)")
-    curves = _CachedCurves(sr, refine_tol)
+    curves = _CachedCurves(sr)
     alphas = sr.alphas
 
     crossings = _balanced_crossings(curves, alphas)

@@ -50,6 +50,7 @@ from alphaduplex.model import (
     max_inversion_radius_m,
     uplink_power_moment,
 )
+from alphaduplex import montecarlo
 from alphaduplex.montecarlo import NetworkRealization, StarvationError
 from alphaduplex.pulse import InterferenceFactors, spectrum
 from alphaduplex.specfun import QuadratureSpec, adaptive_quad, integrate_semi_infinite
@@ -469,7 +470,7 @@ def sample_realization_per_round(p: SystemParams, cfg,
     ue = np.zeros((n_bs, 2))
     dist = np.zeros(n_bs)
     unserved = np.arange(n_bs)
-    for _ in range(cfg.candidate_cap):
+    for _ in range(montecarlo._CANDIDATE_CAP):
         m = unserved.size
         radius = r_draw * np.sqrt(rng.random(m))
         angle = 2.0 * math.pi * rng.random(m)
@@ -487,7 +488,7 @@ def sample_realization_per_round(p: SystemParams, cfg,
     else:
         raise StarvationError(
             f"{unserved.size} of {n_bs} BSs found no admissible UE within "
-            f"{cfg.candidate_cap} candidates each")
+            f"{montecarlo._CANDIDATE_CAP} candidates each")
 
     tx = p.rho * (M_PER_KM * dist) ** p.eta
     return NetworkRealization(bs, ue, tx, dist, cfg.region_side, cfg.core_side)
@@ -579,8 +580,7 @@ def factor_per_lobe(victim: Direction, plan, pulse_u, pulse_d,
 
     panel_spec = QuadratureSpec(
         rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol / max(1, len(breakpoints) - 1),
-        max_subdivisions=spec.max_subdivisions)
+        abs_tol=spec.abs_tol / max(1, len(breakpoints) - 1))
     total = 0.0
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         total += adaptive_quad(integrand, lo, hi, panel_spec)

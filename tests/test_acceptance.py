@@ -155,7 +155,7 @@ def test_c5_analytic_vs_simulation():
 @pytest.fixture(scope="module")
 def operating_points():
     sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 41))
-    return sr, find_operating_points(sr, refine_tol=1e-9)
+    return sr, find_operating_points(sr)
 
 
 def test_c6_balanced_operating_point(operating_points):
@@ -250,7 +250,7 @@ def test_c8_property_suite():
     # sweep invariants: increasing grid, balanced point actually balances
     sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21))
     ok &= all(b > a for a, b in zip(sr.alphas, sr.alphas[1:]))
-    pts = find_operating_points(sr, refine_tol=1e-9)
+    pts = find_operating_points(sr)
     ul, dl = sr.evaluate(pts.balanced_alpha)
     ok &= abs(ul.throughput - dl.throughput) <= 1e-9 * max(ul.throughput,
                                                            dl.throughput)

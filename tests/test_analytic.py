@@ -323,6 +323,20 @@ class TestBerAssembly:
                 for pb in (1.0, 5.0, 25.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_downlink_at_a_huge_inversion_radius(self):
+        # the serving distance lives within about 9 km at 3 BS/km^2.  An
+        # r_max of 3e7 m (p_u_max = 1e20 W) or 1e65 m (1e250 W), 3,162 m at
+        # 1e4 W, must not let the quadrature step over it (it gave BER 1),
+        # nor overflow r^(2 eta) (a RuntimeWarning fails the suite)
+        for alpha in (0.0, 0.3, 1.0):
+            fac = rt_factors(alpha)
+            near = ber_downlink(alpha, fac, dataclasses.replace(REF, p_u_max=1e4))
+            for p_u_max in (1e20, 1e250):
+                far = ber_downlink(alpha, fac, dataclasses.replace(REF, p_u_max=p_u_max))
+                assert far.ber == pytest.approx(near.ber, rel=1e-13, abs=0.0)
+            if alpha == 0.0:
+                assert far.ber == pytest.approx(0.230069751851, abs=1e-12)
+
     def test_directions_decouple_with_zero_coupling(self):
         p0 = dataclasses.replace(REF, beta=0.0)
         base_ul = ber_uplink(0.3, ZERO, p0).ber

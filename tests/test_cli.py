@@ -88,7 +88,6 @@ MALFORMED = [   # (key, value, the full message)
     ("seed", "lots", "seed: cannot parse integer 'lots'"),
     ("region_side", "lots", "region_side: cannot parse length value 'lots' (km)"),
     ("core_side", "lots", "core_side: cannot parse length value 'lots' (km)"),
-    ("candidate_cap", "lots", "candidate_cap: cannot parse integer 'lots'"),
     # 10 ** 400 overflows a double; unknown or missing numbers
     ("rho", "4000 dBm",
      "rho: cannot parse power value '4000 dBm' (use W, mW, or dBm)"),
@@ -146,6 +145,9 @@ class TestParseConfig:
             parse_config("[mystery]\nx = 1\n")
         with pytest.raises(ConfigError):
             parse_config("not an ini document")
+        for section, key in (("sim", "candidate_cap"), ("sweep", "refine_tol")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"[{section}]\n{key} = 1\n")
 
     def test_pulse_names(self):
         cfg = parse_config("[pulses]\nuplink = rectangular\n"
@@ -156,12 +158,8 @@ class TestParseConfig:
             parse_config("[pulses]\nuplink = gaussian\n")
 
     def test_sweep_section(self):
-        cfg = parse_config("[sweep]\nalpha_grid = 0:1:0.5\n"
-                           "refine_tol = 1e-6\n")
+        cfg = parse_config("[sweep]\nalpha_grid = 0:1:0.5\n")
         assert cfg.alpha_grid == (0.0, 0.5, 1.0)
-        assert cfg.refine_tol == 1e-6
-        with pytest.raises(ConfigError, match="refine_tol"):
-            parse_config("[sweep]\nrefine_tol = 2\n")
 
     def test_bad_quantity_messages_name_the_key(self):
         with pytest.raises(ConfigError, match="rho"):
@@ -337,9 +335,11 @@ class TestCommands:
         rows = read_csv(tmp_path / "validate.csv")
         assert any(r[-1] == "fail" for r in rows[1:])
 
-    def test_starvation_exit_code(self, tmp_path, capsys):
+    def test_starvation_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CANDIDATE_CAP", 1)
+        monkeypatch.setattr(montecarlo, "_block", {})   # keyed without the cap
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[sim]\nn_realizations = 1\ncandidate_cap = 1\n")
+        ini.write_text("[sim]\nn_realizations = 1\n")
         rc = cli.main(["simulate", "--config", str(ini), "--out",
                        str(tmp_path), "--seed", "3", "--alpha-grid", "0:0:1"])
         assert rc == EXIT_STARVATION
@@ -595,7 +595,9 @@ class TestErrorHandling:
     def test_bad_flag_values(self, tmp_path, capsys):
         assert cli.main(["analytic", "--out", str(tmp_path),
                          "--seed", "-1"]) == EXIT_CONFIG
-        capsys.readouterr()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "config", "message": "seed must be a nonnegative integer"}
         assert cli.main(["analytic", "--out", str(tmp_path),
                          "--alpha-grid", "0::1"]) == EXIT_CONFIG
 

@@ -1,6 +1,6 @@
 """The demos and the README's Python blocks import only names that exist,
-the README's configuration example parses, and every module's __all__
-names attributes the module defines.
+the README's configuration example parses and lists every key, and every
+module's __all__ names attributes the module defines.
 
 Each source is parsed, not run, so the check is fast and needs neither
 matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
@@ -8,6 +8,7 @@ must name a module the package has and attributes that module defines.
 """
 
 import ast
+import configparser
 import dataclasses
 import importlib
 import pkgutil
@@ -18,6 +19,8 @@ import pytest
 
 import alphaduplex
 from alphaduplex.cli import parse_config
+from alphaduplex.model import SystemParams
+from alphaduplex.montecarlo import SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
@@ -62,6 +65,16 @@ def test_readme_config_example_is_the_reference_scenario():
         # dBm and dB spellings may differ from the defaults in the last bit
         assert getattr(cfg.params, field.name) == pytest.approx(
             getattr(ref.params, field.name), rel=1e-15)
+
+
+def test_readme_config_example_lists_every_key():
+    (block,) = INI_BLOCK.findall((ROOT / "README.md").read_text())
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(block)
+    keys = sorted(key for section in ini.sections() for key in ini[section])
+    fields = [f.name for cls in (SystemParams, SimConfig)
+              for f in dataclasses.fields(cls)]
+    assert keys == sorted(fields + ["uplink", "downlink", "alpha_grid"])
 
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(alphaduplex.__path__)

@@ -56,6 +56,13 @@ def single_bs_realization(serving_km: float = 0.1) -> NetworkRealization:
                               region_side=2.0, core_side=1.0)
 
 
+def cap_candidates(monkeypatch, cap):
+    # the memo's key does not see the cap: start a fresh one, so that no
+    # realization placed under the default cap is served
+    monkeypatch.setattr(montecarlo, "_CANDIDATE_CAP", cap)
+    monkeypatch.setattr(montecarlo, "_block", {})
+
+
 class TestSampling:
     def test_bs_count_in_poisson_band(self):
         # Poisson(1200): [1000, 1400] holds for all but ~1e-4 of seeds
@@ -95,18 +102,19 @@ class TestSampling:
         c = sample_realization(REF, cfg, 5)
         assert not np.array_equal(a.bs_positions, c.bs_positions)
 
-    def test_starvation_raises(self):
-        cfg = SimConfig(n_realizations=1, seed=3, candidate_cap=1)
+    def test_starvation_raises(self, monkeypatch):
+        cap_candidates(monkeypatch, 1)
+        cfg = SimConfig(n_realizations=1, seed=3)
         with pytest.raises(StarvationError):
             sample_realization(REF, cfg, 0)
 
-    def test_inversion_radius_beyond_the_region(self):
+    def test_inversion_radius_beyond_the_region(self, monkeypatch):
         # r_max is about 1e62 km, so nearly every candidate drawn in the
         # inversion disk fell outside the 4 km region and the BSs starved;
         # drawn in the disk about the BS that covers the region, they land
         p = dataclasses.replace(REF, p_u_max=1e250)
-        cfg = SimConfig(n_realizations=2, seed=1, region_side=4.0,
-                        candidate_cap=10_000)
+        cap_candidates(monkeypatch, 10_000)
+        cfg = SimConfig(n_realizations=2, seed=1, region_side=4.0)
         for idx in range(2):
             real = sample_realization(p, cfg, idx)
             assert_same_realization(real, sample_realization_per_round(p, cfg, idx))
@@ -123,8 +131,6 @@ class TestSampling:
             SimConfig(n_realizations=1, seed=-2)
         with pytest.raises(ValueError):
             SimConfig(n_realizations=1, seed=1, region_side=2.0, core_side=2.0)
-        with pytest.raises(ValueError):
-            SimConfig(n_realizations=1, seed=1, candidate_cap=0)
 
 
 FIELDS = ("bs_positions", "ue_positions", "tx_power", "serving_distance")
@@ -235,7 +241,8 @@ class TestLockstepPlacement:
         # neighbour rows: every one inside the region goes to cKDTree.query
         # (the cap turns a wrong decision into an error, not a long loop)
         monkeypatch.setattr(montecarlo, "_TIE_TOL", 1e300)
-        cfg = SimConfig(n_realizations=3, seed=12, candidate_cap=5000)
+        cap_candidates(monkeypatch, 5000)
+        cfg = SimConfig(n_realizations=3, seed=12)
         for idx in range(cfg.n_realizations):
             assert_same_realization(sample_realization(REF, cfg, idx),
                                     sample_realization_per_round(REF, cfg, idx))
@@ -265,8 +272,10 @@ class TestLockstepPlacement:
     def test_listed_rows_served_before_tree_rows(self, monkeypatch):
         # a budget of 228 entries lists the pairs of realizations of at most
         # 47 BSs (about 3.8 neighbours each) on a 4 km side; larger ones ask
-        # their trees.  In some mixed block every listed BS is served while
-        # tree-side BSs still wait: rounds then run with no neighbour rows
+        # their trees.  Both kinds of rows share each round, in realization
+        # order, and a win on either side remaps the neighbour rows' slots.
+        # In some mixed block every listed BS is served while tree-side BSs
+        # still wait: rounds then run with no neighbour rows
         monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 228)
         cfg = SimConfig(n_realizations=20, seed=1, region_side=4.0,
                         core_side=1.0)
@@ -316,11 +325,12 @@ class TestLockstepPlacement:
         assert peak < 1.5e6
         assert_same_realization(real, sample_realization_per_round(wide, cfg, 0))
 
-    def test_later_starvation_spares_earlier_realizations(self):
+    def test_later_starvation_spares_earlier_realizations(self, monkeypatch):
         # seed 14: realization 0 places all its UEs within 3 candidates,
         # realizations 1 and 2 do not
+        cap_candidates(monkeypatch, 3)
         cfg = SimConfig(n_realizations=3, seed=14, region_side=2.0,
-                        core_side=1.0, candidate_cap=3)
+                        core_side=1.0)
         assert_same_realization(sample_realization(REF, cfg, 0),
                                 sample_realization_per_round(REF, cfg, 0))
         for idx in (1, 2):

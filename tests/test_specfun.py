@@ -192,15 +192,13 @@ class TestQuadratureSpec:
         spec = QuadratureSpec()
         assert spec.rel_tol == 1e-9
         assert spec.abs_tol == 1e-12
-        assert spec.max_subdivisions == 200
+        assert specfun._MAX_SUBDIVISIONS == 200
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1e-9)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
     def test_frozen(self):
         spec = QuadratureSpec()
@@ -237,8 +235,9 @@ class TestAdaptiveQuad:
         rhs = 2.0 * adaptive_quad(f, a, b) - 0.5 * adaptive_quad(g, a, b)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_budget_exhaustion_raises(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=3)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 3)
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
         with pytest.raises(QuadratureError):
             adaptive_quad(lambda t: np.sin(1e5 * t), 0.0, 1.0, spec)
 
@@ -280,17 +279,18 @@ class TestAdaptiveQuadFamily:
         assert len(sizes) > 1
         assert all(n == 2 * 15 for n in sizes[1:])
 
-    def test_exhausted_budget_raises_after_budget_calls(self):
+    def test_exhausted_budget_raises_after_budget_calls(self, monkeypatch):
         calls = []
 
         def f(t):
             calls.append(t.size)
             return np.stack([np.cos(t), np.sin(1e5 * t)])
 
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=5)
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 5)
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
         with pytest.raises(QuadratureError):
             adaptive_quad(f, 0.0, 1.0, spec)
-        assert len(calls) == 1 + spec.max_subdivisions
+        assert len(calls) == 1 + specfun._MAX_SUBDIVISIONS
 
 
 class TestQuadIntervals:
@@ -322,8 +322,7 @@ class TestQuadIntervals:
     def one_by_one(self, abs_tol, spec):
         return [adaptive_quad(self.integrand([])(slice(j, j + 1)),
                               self.A[j], self.B[j],
-                              QuadratureSpec(spec.rel_tol, abs_tol[j],
-                                             spec.max_subdivisions))
+                              QuadratureSpec(spec.rel_tol, abs_tol[j]))
                 for j in range(self.N)]
 
     def test_one_seed_pass_is_one_call(self):

@@ -56,7 +56,7 @@ def sr101():
 
 @pytest.fixture(scope="module")
 def pts101(sr101):
-    return find_operating_points(sr101, refine_tol=1e-9)
+    return find_operating_points(sr101)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,7 @@ class TestOperatingPoints:
         # the crossings sit in a window a few 1e-3 wide; a 0.05-step grid
         # never samples it, so only densification can find them
         sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21))
-        pts = find_operating_points(sr, refine_tol=1e-9)
+        pts = find_operating_points(sr)
         gaps = [abs(ul.throughput - dl.throughput)
                 for _, ul, dl in sr.rows]
         assert min(gaps) > 1e3   # no grid point anywhere near balance
@@ -202,16 +202,11 @@ class TestOperatingPoints:
         p_sym = dataclasses.replace(base, p_b=brentq(gap, 0.001, 5.0,
                                                      xtol=1e-12))
         pin_zero_factors(monkeypatch)
+        monkeypatch.setattr(sweep, "_REFINE_TOL", 1e-6)
         sr = sweep_alpha(p_sym, RT_PAIR, np.linspace(0.0, 1.0, 11))
-        pts = find_operating_points(sr, refine_tol=1e-6)
+        pts = find_operating_points(sr)
         assert pts.balanced_alpha == 1.0
         assert len(pts.crossings) == 1
-
-    def test_refine_tol_validated(self, sr101):
-        with pytest.raises(ValueError):
-            find_operating_points(sr101, refine_tol=1e-15)
-        with pytest.raises(ValueError):
-            find_operating_points(sr101, refine_tol=1.0)
 
     def test_record_validation(self):
         tp = ThroughputPair(1.0, 1.0)
