@@ -280,18 +280,22 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         cx = ox + radius * np.cos(angle)
         cy = oy + radius * np.sin(angle)
         inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
-        # squared distance to the nearest other listed BS (or the bound),
-        # less d_own
-        d_own = _sum_sq(ox - cx, oy - cy)
-        gap = np.full(unserved.size, bound * bound)
-        np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
-        gap -= d_own
-        margin = _TIE_TOL * d_own
-        tree = asks_tree.take(unserved)
-        ok = inside & (gap > margin) & ~tree
-        # near ties and the rows of tree-side BSs are the trees' to decide,
+        # the rows of tree-side BSs and near ties are the trees' to decide,
         # one query per realization (rows are sorted by realization)
-        asked = np.flatnonzero(inside & (tree | (np.abs(gap) <= margin)))
+        tree = asks_tree.take(unserved)
+        ask = inside & tree
+        ok = np.zeros(unserved.size, dtype=bool)
+        if not tree.all():   # skipped when only tree rows are left
+            # squared distance to the nearest other listed BS (or the
+            # bound), less d_own
+            d_own = _sum_sq(ox - cx, oy - cy)
+            gap = np.full(unserved.size, bound * bound)
+            np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
+            gap -= d_own
+            margin = _TIE_TOL * d_own
+            ok = inside & (gap > margin) & ~tree
+            ask |= inside & (np.abs(gap) <= margin)
+        asked = np.flatnonzero(ask)
         own = owner.take(asked)
         head = 0
         while head < asked.size:
@@ -311,7 +315,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         keep = ~ok
         kept = np.flatnonzero(keep)
         unserved = unserved.take(kept)
-        if hit.size:   # else every row keeps its slot
+        if hit.size and slot.size:   # else every row keeps its slot
             rows = np.flatnonzero(keep.take(slot))
             remap = np.empty(ok.size, dtype=np.intp)   # a kept row's new slot
             remap[kept] = np.arange(kept.size)
