@@ -8,9 +8,10 @@ The chain has three layers:
    four come from the PPP probability generating functional; the UE-driven
    ones carry exclusion regions induced by power control and association,
    which is where the 2F1(1, 1-2/eta; 2-2/eta; -x) kernel enters.  Every
-   transform is exp(-exponent), and every exponent is written once, in
-   terms of the kernel x 2F1(1, b; b+1; -x); at eta = 4 (b = 1/2) the
-   kernel is its closed form sqrt(x) arctan(sqrt(x)).
+   transform is exp(-exponent), and every exponent is written once, in one
+   private factory per source that the BER assembly runs, in terms of the
+   kernel x 2F1(1, b; b+1; -x); at eta = 4 (b = 1/2) the kernel is its
+   closed form sqrt(x) arctan(sqrt(x)).
 2. An averaging identity: for x ~ Exp(1), a nonnegative y independent of x,
    and a constant b,
        E[w1 erfc(sqrt(w2 x / (y + b)))]
@@ -52,10 +53,6 @@ from .specfun import (
 
 __all__ = [
     "LinkMetrics",
-    "lt_bs_on_uplink",
-    "lt_ue_on_uplink",
-    "lt_bs_on_downlink",
-    "lt_ue_on_downlink",
     "hamdi_average",
     "ber_uplink",
     "ber_downlink",
@@ -93,13 +90,6 @@ def _metrics(direction: Direction, alpha: float, ber: float,
                        bandwidth=bandwidth, throughput=throughput)
 
 
-def _as_float_array(s, name: str = "s"):
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
-
-
 def _x_hyp2f1(b: float, x):
     """x 2F1(1, b; b+1; -x), the exclusion-region kernel of the LT exponents.
 
@@ -114,10 +104,11 @@ def _x_hyp2f1(b: float, x):
 
 # Exponent factories: each binds the s-free constants of one source's LT
 # exponent, -ln L, and returns it as a function of s (and of the serving
-# distance r in meters for the downlink).  The public transforms and the
-# BER integrands share them.
+# distance r in meters for the downlink).  They are the transforms' only
+# code: the BER integrands sum them inside one exp.
 
 def _bs_on_uplink(factors: InterferenceFactors, p: SystemParams):
+    # no exclusion around the receiver: the unthinned PPP gives the csc form
     q = 2.0 / p.eta
     k = (q * math.pi ** 2 * p.lambda_per_m2 / math.sin(math.pi * q)
          * (p.p_b * factors.i_du_sq / p.rho) ** q)
@@ -125,6 +116,8 @@ def _bs_on_uplink(factors: InterferenceFactors, p: SystemParams):
 
 
 def _ue_on_uplink(p: SystemParams):
+    # power control keeps an interfering UE's received power below rho: the
+    # 2F1 exclusion together with E[P_u^(2/eta)]
     b = 1.0 - 2.0 / p.eta
     k = (2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
          * p.rho ** (-2.0 / p.eta) * uplink_power_moment(2.0 / p.eta, p))
@@ -132,72 +125,18 @@ def _ue_on_uplink(p: SystemParams):
 
 
 def _bs_on_downlink(p: SystemParams):
+    # nearest-BS association excludes interfering BSs inside r
     b = 1.0 - 2.0 / p.eta
     k = 2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
     return lambda s, r: k * r ** 2 * _x_hyp2f1(b, s)
 
 
 def _ue_on_downlink(factors: InterferenceFactors, p: SystemParams):
-    # the uplink UE exponent, at the argument s |I_ud|^2 r^eta rho / P_b
+    # interfering UEs taken as collocated with their BSs: the uplink UE
+    # exponent, at the argument s |I_ud|^2 r^eta rho / P_b
     ue = _ue_on_uplink(p)
     c = factors.i_ud_sq * p.rho / p.p_b
     return lambda s, r: ue(c * s * r ** p.eta)
-
-
-def _lt(exponent):
-    out = np.exp(-exponent)
-    return float(out) if out.ndim == 0 else out
-
-
-def _serving_distances(r_o):
-    r_arr = _as_float_array(r_o, "r_o")
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r_o must be positive")
-    return r_arr
-
-
-def lt_bs_on_uplink(s, factors: InterferenceFactors, p: SystemParams):
-    """LT of the BS-driven interference at the tagged BS, normalized by rho.
-
-    Interfering BSs form an unthinned PPP with no exclusion around the
-    receiver, which integrates to the csc(2 pi / eta) form.  Scalar or
-    ndarray ``s``.
-    """
-    return _lt(_bs_on_uplink(factors, p)(_as_float_array(s)))
-
-
-def lt_ue_on_uplink(s, p: SystemParams):
-    """LT of the UE-driven interference at the tagged BS, normalized by rho.
-
-    Power control keeps any interfering UE's received power below rho
-    (otherwise it would be served closer), an exclusion that shows up as
-    the 2F1 factor together with the fractional power moment E[P_u^(2/eta)].
-    """
-    return _lt(_ue_on_uplink(p)(_as_float_array(s)))
-
-
-def lt_bs_on_downlink(s, r_o, p: SystemParams):
-    """LT of other-BS interference at a UE served at r_o meters, normalized
-    by the serving power P_b r_o^(-eta).
-
-    Nearest-BS association excludes interferers inside r_o.  ``s`` and
-    ``r_o`` broadcast against each other.
-    """
-    s_arr = _as_float_array(s)
-    return _lt(_bs_on_downlink(p)(s_arr, _serving_distances(r_o)))
-
-
-def lt_ue_on_downlink(s, r_o, factors: InterferenceFactors, p: SystemParams):
-    """LT of UE-driven interference at a UE served at r_o meters, normalized
-    by P_b r_o^(-eta).
-
-    Interfering UEs are approximated as collocated with their BSs, each
-    excluded inside its own inversion radius (P_u/rho)^(1/eta); averaging
-    over P_u leaves E[P_u^(2/eta)] in front and a P_u-free 2F1 argument.
-    """
-    s_arr = _as_float_array(s)
-    r_arr = _serving_distances(r_o)
-    return _lt(_ue_on_downlink(factors, p)(s_arr, r_arr))
 
 
 def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float) -> float:
@@ -211,6 +150,8 @@ def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float) -> float:
     if b_const < 0.0:
         raise ValueError("b_const must be nonnegative")
     decay = 1.0 + b_const / omega2
+    if decay == math.inf:
+        return omega1  # the SINR is 0, and erfc(0) = 1
 
     def integrand(z):
         return lt_y(z / omega2) * np.exp(-decay * z) / np.sqrt(z)
@@ -223,7 +164,6 @@ def hamdi_average(lt_y, omega1: float, omega2: float, b_const: float) -> float:
 def ber_uplink(alpha: float, factors: InterferenceFactors,
                p: SystemParams) -> LinkMetrics:
     """Spatially averaged uplink BER and throughput at overlap ``alpha``."""
-    _check_alpha(alpha)
     omega1, omega2 = p.omega(Direction.UPLINK)
     b_const = (p.beta * p.p_b * factors.i_su_sq + p.sigma_n_sq) / p.rho
     bs = _bs_on_uplink(factors, p)
@@ -244,7 +184,6 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
     averaged over the serving distance: the noise and self-interference
     scale with r_o, so they ride inside that average as e^(-s b(r_o)).
     """
-    _check_alpha(alpha)
     omega1, omega2 = p.omega(Direction.DOWNLINK)
     sigma_sq = p.sigma_n_sq
     r_max = max_inversion_radius_m(p)
@@ -269,10 +208,8 @@ def ber_downlink(alpha: float, factors: InterferenceFactors,
         return adaptive_quad(g, 0.0, min(r_max, math.sqrt(745.0 / pi_lam)),
                              _INNER_QUADRATURE)
 
-    ber = hamdi_average(averaged_lt, omega1, omega2, 0.0)
+    # an overflowed s b(r) gives e^(-inf) = 0, its limit; nan stays loud
+    with np.errstate(over="ignore"):
+        ber = hamdi_average(averaged_lt, omega1, omega2, 0.0)
     return _metrics(Direction.DOWNLINK, alpha, ber, p)
 
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

@@ -344,10 +344,17 @@ def lt_brute_ue_on_downlink(s: float, r_o: float,
 # quadrature machinery.
 # ---------------------------------------------------------------------------
 
+def laplace(exponent, *args):
+    """exp(-exponent(*args)): the LT whose exponent one of the package's
+    factories returned, e.g. ``laplace(_ue_on_uplink(p), s)``."""
+    return np.exp(-exponent(*args))
+
+
 def ber_uplink_scipy_reference(factors: InterferenceFactors,
                                p: SystemParams) -> float:
-    from alphaduplex.analytic import lt_bs_on_uplink, lt_ue_on_uplink
+    from alphaduplex.analytic import _bs_on_uplink, _ue_on_uplink
 
+    bs, ue = _bs_on_uplink(factors, p), _ue_on_uplink(p)
     w1, w2 = p.omega(Direction.UPLINK)
     sigma_sq = p.sigma_n_sq
     b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
@@ -355,7 +362,7 @@ def ber_uplink_scipy_reference(factors: InterferenceFactors,
 
     def g(t):            # z = t^2 removes the 1/sqrt(z) endpoint
         z = t * t
-        lt = lt_bs_on_uplink(z / w2, factors, p) * lt_ue_on_uplink(z / w2, p)
+        lt = laplace(bs, z / w2) * laplace(ue, z / w2)
         return 2.0 * lt * math.exp(-decay * z)
 
     val, _ = integrate.quad(g, 0.0, np.inf,
@@ -365,8 +372,9 @@ def ber_uplink_scipy_reference(factors: InterferenceFactors,
 
 def ber_downlink_scipy_reference(factors: InterferenceFactors,
                                  p: SystemParams) -> float:
-    from alphaduplex.analytic import lt_bs_on_downlink, lt_ue_on_downlink
+    from alphaduplex.analytic import _bs_on_downlink, _ue_on_downlink
 
+    bs, ue = _bs_on_downlink(p), _ue_on_downlink(factors, p)
     w1, w2 = p.omega(Direction.DOWNLINK)
     sigma_sq = p.sigma_n_sq
     r_max = max_inversion_radius_m(p)
@@ -376,8 +384,8 @@ def ber_downlink_scipy_reference(factors: InterferenceFactors,
             b_r = (p.beta * p.rho * factors.i_sd_sq * r ** (2.0 * p.eta)
                    + sigma_sq * r ** p.eta) / p.p_b
             return (float(_serving_density_m(r, p))
-                    * lt_bs_on_downlink(z / w2, r, p)
-                    * lt_ue_on_downlink(z / w2, r, factors, p)
+                    * laplace(bs, z / w2, r)
+                    * laplace(ue, z / w2, r)
                     * math.exp(-z * b_r / w2))
 
         val, _ = integrate.quad(g, 0.0, r_max,

@@ -17,13 +17,13 @@ from scipy.integrate import quad
 
 import mc_oracles as mo
 from alphaduplex.analytic import (
+    _bs_on_downlink,
+    _bs_on_uplink,
+    _ue_on_downlink,
+    _ue_on_uplink,
     ber_downlink,
     ber_uplink,
     hamdi_average,
-    lt_bs_on_downlink,
-    lt_bs_on_uplink,
-    lt_ue_on_downlink,
-    lt_ue_on_uplink,
 )
 from alphaduplex.model import Direction, SystemParams, max_inversion_radius_m
 from alphaduplex.montecarlo import SimConfig, run_campaign, sample_realization
@@ -107,21 +107,21 @@ def test_c3_eta4_consistency():
 def test_c4_interference_transform_oracles():
     t0 = time.perf_counter()
     cases = (
-        ("bs-on-ul", lt_bs_on_uplink(0.3, FULL, REF),
+        ("bs-on-ul", mo.laplace(_bs_on_uplink(FULL, REF), 0.3),
          mo.lt_oracle_bs_on_uplink(0.3, FULL, REF, 20_000, 101)),
-        ("bs-on-ul", lt_bs_on_uplink(1.0, FULL, REF),
+        ("bs-on-ul", mo.laplace(_bs_on_uplink(FULL, REF), 1.0),
          mo.lt_oracle_bs_on_uplink(1.0, FULL, REF, 20_000, 102)),
-        ("ue-on-ul", lt_ue_on_uplink(0.7, REF),
+        ("ue-on-ul", mo.laplace(_ue_on_uplink(REF), 0.7),
          mo.lt_oracle_ue_on_uplink(0.7, REF, 12_000, 103)),
-        ("ue-on-ul", lt_ue_on_uplink(5.0, REF),
+        ("ue-on-ul", mo.laplace(_ue_on_uplink(REF), 5.0),
          mo.lt_oracle_ue_on_uplink(5.0, REF, 12_000, 104)),
-        ("bs-on-dl", lt_bs_on_downlink(0.5, 150.0, REF),
+        ("bs-on-dl", mo.laplace(_bs_on_downlink(REF), 0.5, 150.0),
          mo.lt_oracle_bs_on_downlink(0.5, 150.0, REF, 12_000, 105)),
-        ("bs-on-dl", lt_bs_on_downlink(1.0, 200.0, REF),
+        ("bs-on-dl", mo.laplace(_bs_on_downlink(REF), 1.0, 200.0),
          mo.lt_oracle_bs_on_downlink(1.0, 200.0, REF, 12_000, 106)),
-        ("ue-on-dl", lt_ue_on_downlink(0.5, 150.0, HALF, REF),
+        ("ue-on-dl", mo.laplace(_ue_on_downlink(HALF, REF), 0.5, 150.0),
          mo.lt_oracle_ue_on_downlink(0.5, 150.0, HALF, REF, 12_000, 107)),
-        ("ue-on-dl", lt_ue_on_downlink(1.0, 250.0, FULL, REF),
+        ("ue-on-dl", mo.laplace(_ue_on_downlink(FULL, REF), 1.0, 250.0),
          mo.lt_oracle_ue_on_downlink(1.0, 250.0, FULL, REF, 12_000, 108)),
     )
     worst = 0.0
@@ -206,10 +206,10 @@ def test_c8_property_suite():
 
     # transforms: bounded by one, one at s=0, nonincreasing in s
     s_grid = np.linspace(0.0, 10.0, 41)
-    for lt in (lambda s: lt_bs_on_uplink(s, FULL, REF),
-               lambda s: lt_ue_on_uplink(s, REF),
-               lambda s: lt_bs_on_downlink(s, 200.0, REF),
-               lambda s: lt_ue_on_downlink(s, 200.0, FULL, REF)):
+    for lt in (lambda s: mo.laplace(_bs_on_uplink(FULL, REF), s),
+               lambda s: mo.laplace(_ue_on_uplink(REF), s),
+               lambda s: mo.laplace(_bs_on_downlink(REF), s, 200.0),
+               lambda s: mo.laplace(_ue_on_downlink(FULL, REF), s, 200.0)):
         vals = np.array([lt(s) for s in s_grid])
         ok &= vals[0] == 1.0
         ok &= bool(np.all(vals > 0.0) and np.all(vals <= 1.0))

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 import mc_oracles as O
 from alphaduplex.analytic import (
     LinkMetrics,
+    _bs_on_downlink,
+    _bs_on_uplink,
+    _ue_on_downlink,
+    _ue_on_uplink,
     _x_hyp2f1,
     ber_downlink,
     ber_uplink,
     hamdi_average,
-    lt_bs_on_downlink,
-    lt_bs_on_uplink,
-    lt_ue_on_downlink,
-    lt_ue_on_uplink,
 )
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.pulse import (
@@ -55,66 +55,67 @@ class TestTransformValues:
 
     def test_bs_on_uplink_matches_brute(self):
         for s, fac in [(1.0, FULL), (0.3, HALF), (5.0, FULL)]:
-            assert lt_bs_on_uplink(s, fac, REF) == pytest.approx(
+            assert O.laplace(_bs_on_uplink(fac, REF), s) == pytest.approx(
                 O.lt_brute_bs_on_uplink(s, fac, REF), rel=1e-10)
 
     def test_ue_on_uplink_matches_brute(self):
         for s in (0.7, 1.0, 5.0):
-            assert lt_ue_on_uplink(s, REF) == pytest.approx(
+            assert O.laplace(_ue_on_uplink(REF), s) == pytest.approx(
                 O.lt_brute_ue_on_uplink(s, REF), rel=1e-10)
 
     def test_bs_on_downlink_matches_brute(self):
         for s, r_o in [(1.0, 200.0), (3.0, 120.0), (0.4, 316.0)]:
-            assert lt_bs_on_downlink(s, r_o, REF) == pytest.approx(
+            assert O.laplace(_bs_on_downlink(REF), s, r_o) == pytest.approx(
                 O.lt_brute_bs_on_downlink(s, r_o, REF), rel=1e-10)
 
     def test_ue_on_downlink_matches_brute(self):
         for s, r_o, fac in [(0.5, 150.0, HALF), (1.0, 250.0, FULL),
                             (3.0, 80.0, HALF)]:
-            assert lt_ue_on_downlink(s, r_o, fac, REF) == pytest.approx(
+            ue = _ue_on_downlink(fac, REF)
+            assert O.laplace(ue, s, r_o) == pytest.approx(
                 O.lt_brute_ue_on_downlink(s, r_o, fac, REF), rel=1e-10)
 
     def test_frozen_reference_values(self):
         # brute-force quadrature results frozen at the default parameters
-        assert lt_bs_on_uplink(1.0, FULL, REF) == pytest.approx(
+        assert O.laplace(_bs_on_uplink(FULL, REF), 1.0) == pytest.approx(
             0.036502813003289974, rel=1e-9)
-        assert lt_ue_on_uplink(0.7, REF) == pytest.approx(
+        assert O.laplace(_ue_on_uplink(REF), 0.7) == pytest.approx(
             0.7928167764743386, rel=1e-9)
-        assert lt_ue_on_uplink(5.0, REF) == pytest.approx(
+        assert O.laplace(_ue_on_uplink(REF), 5.0) == pytest.approx(
             0.3590019400154359, rel=1e-9)
-        assert lt_bs_on_downlink(1.0, 200.0, REF) == pytest.approx(
+        assert O.laplace(_bs_on_downlink(REF), 1.0, 200.0) == pytest.approx(
             0.7437218794107743, rel=1e-9)
-        assert lt_ue_on_downlink(0.5, 150.0, HALF, REF) == pytest.approx(
-            0.9993955856805294, rel=1e-9)
-        assert lt_ue_on_downlink(1.0, 250.0, FULL, REF) == pytest.approx(
-            0.970113628191571, rel=1e-9)
+        assert O.laplace(_ue_on_downlink(HALF, REF), 0.5, 150.0) == \
+            pytest.approx(0.9993955856805294, rel=1e-9)
+        assert O.laplace(_ue_on_downlink(FULL, REF), 1.0, 250.0) == \
+            pytest.approx(0.970113628191571, rel=1e-9)
 
 
 class TestTransformMonteCarlo:
     """3-standard-error agreement with point-process realizations."""
 
     def test_bs_on_uplink(self):
-        exact = lt_bs_on_uplink(1.0, FULL, REF)
+        exact = O.laplace(_bs_on_uplink(FULL, REF), 1.0)
         est, se = O.lt_oracle_bs_on_uplink(1.0, FULL, REF,
                                            n_patterns=10_000, seed=11)
         assert se < 2e-3
         assert abs(est - exact) < 3.0 * se
 
     def test_ue_on_uplink(self):
-        exact = lt_ue_on_uplink(0.7, REF)
+        exact = O.laplace(_ue_on_uplink(REF), 0.7)
         est, se = O.lt_oracle_ue_on_uplink(0.7, REF, n_patterns=4000, seed=20)
         assert se < 5e-3
         assert abs(est - exact) < 3.0 * se
 
     def test_bs_on_downlink(self):
-        exact = lt_bs_on_downlink(1.0, 200.0, REF)
+        exact = O.laplace(_bs_on_downlink(REF), 1.0, 200.0)
         est, se = O.lt_oracle_bs_on_downlink(1.0, 200.0, REF,
                                              n_patterns=3000, seed=15)
         assert se < 6e-3
         assert abs(est - exact) < 3.0 * se
 
     def test_ue_on_downlink(self):
-        exact = lt_ue_on_downlink(1.0, 250.0, FULL, REF)
+        exact = O.laplace(_ue_on_downlink(FULL, REF), 1.0, 250.0)
         est, se = O.lt_oracle_ue_on_downlink(1.0, 250.0, FULL, REF,
                                              n_patterns=3000, seed=18)
         assert se < 2e-3
@@ -123,59 +124,53 @@ class TestTransformMonteCarlo:
 
 class TestTransformBasics:
     def test_value_one_at_s_zero(self):
-        assert lt_bs_on_uplink(0.0, FULL, REF) == 1.0
-        assert lt_ue_on_uplink(0.0, REF) == 1.0
-        assert lt_bs_on_downlink(0.0, 150.0, REF) == 1.0
-        assert lt_ue_on_downlink(0.0, 150.0, FULL, REF) == 1.0
+        assert O.laplace(_bs_on_uplink(FULL, REF), 0.0) == 1.0
+        assert O.laplace(_ue_on_uplink(REF), 0.0) == 1.0
+        assert O.laplace(_bs_on_downlink(REF), 0.0, 150.0) == 1.0
+        assert O.laplace(_ue_on_downlink(FULL, REF), 0.0, 150.0) == 1.0
 
     def test_zero_cross_factor_silences_interference(self):
         for s in (0.5, 1.0, 10.0):
-            assert lt_bs_on_uplink(s, ZERO, REF) == 1.0
-            assert lt_ue_on_downlink(s, 200.0, ZERO, REF) == 1.0
+            assert O.laplace(_bs_on_uplink(ZERO, REF), s) == 1.0
+            assert O.laplace(_ue_on_downlink(ZERO, REF), s, 200.0) == 1.0
 
     def test_vanishing_density_limit(self):
         sparse = dataclasses.replace(REF, lambda_bs=1e-12)
         for s in (0.5, 2.0):
-            assert lt_bs_on_uplink(s, FULL, sparse) == pytest.approx(1.0, abs=1e-6)
-            assert lt_ue_on_uplink(s, sparse) == pytest.approx(1.0, abs=1e-6)
-            assert lt_bs_on_downlink(s, 200.0, sparse) == pytest.approx(1.0, abs=1e-6)
-            assert lt_ue_on_downlink(s, 200.0, FULL, sparse) == pytest.approx(1.0, abs=1e-6)
+            for lt in (O.laplace(_bs_on_uplink(FULL, sparse), s),
+                       O.laplace(_ue_on_uplink(sparse), s),
+                       O.laplace(_bs_on_downlink(sparse), s, 200.0),
+                       O.laplace(_ue_on_downlink(FULL, sparse), s, 200.0)):
+                assert lt == pytest.approx(1.0, abs=1e-6)
 
     def test_small_serving_distance_limit(self):
-        assert lt_bs_on_downlink(1.0, 1e-6, REF) == pytest.approx(1.0, abs=1e-9)
+        assert O.laplace(_bs_on_downlink(REF), 1.0, 1e-6) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_vectorized_s_matches_scalars(self):
         s = np.array([0.0, 0.5, 1.0, 4.0])
-        vec = lt_ue_on_uplink(s, REF)
+        ue = _ue_on_uplink(REF)
+        vec = O.laplace(ue, s)
         assert vec.shape == s.shape
         for i, si in enumerate(s):
-            assert vec[i] == pytest.approx(lt_ue_on_uplink(float(si), REF),
-                                           rel=1e-14)
+            assert vec[i] == pytest.approx(O.laplace(ue, float(si)), rel=1e-14)
 
     def test_broadcasting_downlink(self):
         s = np.array([0.5, 1.0, 2.0])[:, None]
         r = np.array([100.0, 200.0, 300.0, 316.0])[None, :]
-        out = lt_bs_on_downlink(s, r, REF)
+        bs = _bs_on_downlink(REF)
+        out = O.laplace(bs, s, r)
         assert out.shape == (3, 4)
-        assert out[1, 1] == pytest.approx(lt_bs_on_downlink(1.0, 200.0, REF),
-                                          rel=1e-14)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            lt_bs_on_uplink(-0.1, FULL, REF)
-        with pytest.raises(ValueError):
-            lt_bs_on_downlink(1.0, 0.0, REF)
-        with pytest.raises(ValueError):
-            lt_ue_on_downlink(1.0, -5.0, FULL, REF)
+        assert out[1, 1] == pytest.approx(O.laplace(bs, 1.0, 200.0), rel=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(s1=st.floats(0.0, 50.0), s2=st.floats(0.0, 50.0))
     def test_bounded_and_nonincreasing(self, s1, s2):
         lo, hi = sorted((s1, s2))
-        for lt in (lambda s: lt_bs_on_uplink(s, HALF, REF),
-                   lambda s: lt_ue_on_uplink(s, REF),
-                   lambda s: lt_bs_on_downlink(s, 180.0, REF),
-                   lambda s: lt_ue_on_downlink(s, 180.0, HALF, REF)):
+        for lt in (lambda s: O.laplace(_bs_on_uplink(HALF, REF), s),
+                   lambda s: O.laplace(_ue_on_uplink(REF), s),
+                   lambda s: O.laplace(_bs_on_downlink(REF), s, 180.0),
+                   lambda s: O.laplace(_ue_on_downlink(HALF, REF), s, 180.0)):
             v_lo, v_hi = lt(lo), lt(hi)
             assert 0.0 < v_hi <= v_lo <= 1.0 + 1e-12
 
@@ -216,6 +211,13 @@ class TestHamdiAverage:
         lt = lambda z: 1.0 / (1.0 + mean_y * z)
         val = hamdi_average(lt, 0.5, 1.0, b)
         assert 0.0 <= val <= 0.5
+
+    @pytest.mark.parametrize("w2, b", [(1.0, math.inf), (1e-10, 1e300)],
+                             ids=["infinite", "overflowing_ratio"])
+    def test_infinite_constant_gives_omega1(self, w2, b):
+        # b / w2 = inf: the SINR is 0, erfc(0) = 1, and no inf * 0 is formed
+        one = lambda z: np.ones_like(np.asarray(z, dtype=float))
+        assert hamdi_average(one, 0.5, w2, b) == 0.5
 
     def test_rejects_bad_arguments(self):
         one = lambda z: np.ones_like(np.asarray(z, dtype=float))
@@ -413,7 +415,8 @@ class TestEta4Specialization:
         p0 = dataclasses.replace(REF, beta=0.0)
         w1, w2 = p0.omega(Direction.UPLINK)
         b_const = p0.sigma_n_sq / p0.rho
-        expected = hamdi_average(lambda z: lt_ue_on_uplink(z, p0), w1, w2, b_const)
+        ue = _ue_on_uplink(p0)
+        expected = hamdi_average(lambda z: O.laplace(ue, z), w1, w2, b_const)
         assert ber_uplink(0.0, ZERO, p0).ber == pytest.approx(expected, rel=1e-9)
 
     def test_downlink_reduces_to_bs_population(self):

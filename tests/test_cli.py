@@ -567,6 +567,43 @@ class TestErrorHandling:
         assert summary == "no_crossing=true\n"
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("params, ber_dl", [
+        ("n0 = 1e300 W", "1"),
+        ("beta = 1\np_b = 1e300 W", "0.120417627057")],
+        ids=["noise_overflow", "self_interference_overflow"])
+    def test_overflowing_sinr_constants_are_limits(self, tmp_path, capsys,
+                                                   params, ber_dl):
+        # the uplink's constant over omega2 and the downlink's s b(r)
+        # overflow to inf: the SINR they leave is 0 (BER 1) or an
+        # e^(-inf) = 0 term, not a nan or a RuntimeWarning
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[params]\n{params}\n")
+        for command in ("analytic", "sweep"):
+            assert cli.main([command, "--config", str(ini),
+                             "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "analytic.csv")[1:]
+        assert {r[2] for r in rows if r[0] == "uplink"} == {"1"}
+        assert {r[2] for r in rows if r[0] == "downlink"} == {ber_dl}
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_at_vanishing_bandwidths(self, tmp_path, capsys):
+        # throughputs near 1e-134 bit/s underflow the Brent extrapolation's
+        # denominator to 0; the search bisects there, as scipy's brentq does,
+        # and finds the reference sweep's crossings
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\nb_u = 1e-134 Hz\nb_d = 1e-134 Hz\n")
+        summaries = []
+        for args in ([], ["--config", str(ini)]):
+            out = tmp_path / str(len(summaries))
+            assert cli.main(["sweep", "--out", str(out)] + args) == EXIT_OK
+            summaries.append(dict(
+                line.split("=", 1)
+                for line in (out / "summary.txt").read_text().splitlines()
+                if not line.split("=", 1)[0].endswith("_bps")))
+        assert summaries[0] == summaries[1]
+        assert "crossing_1_alpha" in summaries[0]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("params", [
         "lambda_bs = 1e-300 /km2", "eta = 1e150",
         "p_u_max = 1e300 W\nrho = 1e-320 W"],

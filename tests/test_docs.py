@@ -1,6 +1,7 @@
 """The demos and the README's Python blocks import only names that exist,
 the README's configuration example parses and lists every key, and every
-module's __all__ names attributes the module defines.
+module's __all__ names attributes the module defines and something outside
+the tests uses.
 
 Each source is parsed, not run, so the check is fast and needs neither
 matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
@@ -90,3 +91,36 @@ def test_all_names_are_defined(name):
     module = importlib.import_module(f"alphaduplex.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"alphaduplex.{name}.__all__ lists undefined {missing}"
+
+
+def _names_used_outside_tests():
+    """The names src/ uses (its def/class names and __all__ strings are not
+    uses), and every word of the demos, README, OUTPUT_SCHEMA and perfbench/."""
+    used = set()
+    for path in (ROOT / "src" / "alphaduplex").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    texts = [ROOT / "README.md", ROOT / "OUTPUT_SCHEMA.md",
+             *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "perfbench").rglob("*.py")),
+             *sorted((ROOT / "perfbench").rglob("*.md"))]
+    for path in texts:
+        used.update(re.findall(r"\w+", path.read_text()))
+    return used
+
+
+USED_OUTSIDE_TESTS = _names_used_outside_tests()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_serve_more_than_the_tests(name):
+    module = importlib.import_module(f"alphaduplex.{name}")
+    unused = [n for n in getattr(module, "__all__", ())
+              if n not in USED_OUTSIDE_TESTS]
+    assert not unused, (f"alphaduplex.{name}.__all__ lists {unused}, which "
+                        "only the tests use")

@@ -330,8 +330,12 @@ class TestBrent:
         (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
         (lambda x: x - 1.0, 1.0, 2.0),
         (lambda x: x * x + 1.0, -1.0, 2.0),
+        # the extrapolation step's denominator underflows to 0: bisect
+        (lambda x: 1e-140 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0),
+        (lambda x: 1e-160 * (math.cos(x) - x), 0.0, 1.0),
+        (lambda x: 1e-150 * (math.exp(x) - 10.0), 0.0, 5.0),
     ], ids=["cos_x_minus_x", "cubic", "exp", "step", "root_at_a",
-            "unbracketed"])
+            "unbracketed", "tiny_cubic", "tiny_cos", "tiny_exp"])
     @pytest.mark.parametrize("xtol", [2e-12, 1e-13])
     def test_matches_brentq(self, f, a, b, xtol):
         self._assert_same_as_brentq(f, a, b, xtol)
