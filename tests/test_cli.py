@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -382,6 +383,84 @@ class TestCommands:
         assert err["error"] == "refinement"
         assert "did not converge in 2 iterations" in err["message"]
         assert list(tmp_path.iterdir()) == []
+
+
+# each command at a small config: exit code, stdout ({out} for --out) and
+# the sha256 of every file it writes, frozen from the reference machine
+FROZEN_RUNS = {
+    "factors": (EXIT_OK, ["wrote {out}/factors.csv"], {
+        "factors.csv": "bfb391087a4ed4a0d0c2a1bb7bc2ff05"
+                       "5099e1f8c7d9fbc9b36d339269ccfe01"}),
+    "analytic": (EXIT_OK, ["wrote {out}/analytic.csv"], {
+        "analytic.csv": "442dc3a58ba92ce969e5ab1c0f2b294a"
+                        "c60f7727aca665503f18385109ae67ad"}),
+    "simulate": (EXIT_OK, ["wrote {out}/simulate.csv"], {
+        "simulate.csv": "d992bbd3822a9e02d9e47ec6d786c03b"
+                        "b67151e5586b282e483d2046bddc883c"}),
+    "sweep": (EXIT_OK, [
+        "wrote {out}/sweep.csv", "wrote {out}/summary.txt",
+        "balanced_alpha=0.278950080765", "unbalanced_alpha=0",
+        "hd_ul_bps=776058.725091", "hd_dl_bps=879081.531941",
+        "fd_ul_bps=84208.2624115", "fd_dl_bps=1378393.44771",
+        "balanced_ul_bps=1107757.89981", "balanced_dl_bps=1107757.89981",
+        "fd_delta_ul_pct=-89.1492409416", "fd_delta_dl_pct=56.7992726078",
+        "balanced_delta_ul_pct=42.7415044759",
+        "balanced_delta_dl_pct=26.0131011244",
+        "crossing_1_alpha=0.276410101018",
+        "crossing_2_alpha=0.278950080765"], {
+        "sweep.csv": "c6c380119b0cf52b2c4e8b878194cd86"
+                     "d2197820db2f6bd785809b599a6e6cc6",
+        "summary.txt": "a49dfda771f9210c60d6f32613b9cdc6"
+                       "9a94c062d94d9cdf7d5cf5031e6f4277"}),
+    # three realizations are too few to pass the gate: the failing run
+    # still writes both files
+    "validate": (EXIT_VALIDATION, [
+        "wrote {out}/validate.csv",
+        "max_abs_gap_ul=0.12461953463", "max_abs_gap_dl=0.185824891606",
+        "base_tolerance=0.02", "status=fail"], {
+        "validate.csv": "50471599375064adbcdb5e0ac8c2af38"
+                        "e85364e8dee6c169278d2ba9b3d5c8cd",
+        "validate.txt": "dc8a24588dbf9ebce6ff2ef0ae632b86"
+                        "b793ff547f02c9ba10aff210b954d52e"}),
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("command", list(FROZEN_RUNS))
+    def test_files_and_stdout(self, tmp_path, capsys, command):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\nn_realizations = 3\n")
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(ini), "--out", str(out),
+                       "--seed", "1", "--alpha-grid", "0:1:0.5"])
+        want_rc, want_stdout, want_files = FROZEN_RUNS[command]
+        assert rc == want_rc
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            line.format(out=out) for line in want_stdout]
+        assert captured.err == ""
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in out.iterdir()} == want_files
+
+    @pytest.mark.parametrize("command, stage", [
+        ("factors", "interference_factor_grid"), ("analytic", "sweep_alpha"),
+        ("simulate", "run_campaign"), ("sweep", "sweep_alpha"),
+        ("validate", "run_campaign")])
+    def test_failing_command_writes_nothing(self, tmp_path, capsys,
+                                            monkeypatch, command, stage):
+        def boom(*args, **kwargs):
+            raise QuadratureError("panel budget exhausted")
+
+        monkeypatch.setattr(cli, stage, boom)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--out", str(out), "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_QUADRATURE
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": "quadrature",
+                                    "message": "panel budget exhausted"}
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
 
 class TestErrorHandling:
