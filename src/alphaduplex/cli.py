@@ -8,6 +8,12 @@ parameter table can be transcribed verbatim.  All outputs are CSV or
 key=value text with %.12g formatting, so identical configs and seeds
 reproduce byte-identical files.
 
+Each command computes all of its outputs before ``main`` opens a file,
+so a command that fails with a JSON error line writes no file.  When the
+files are written (exit 0, or 3 for a failed validation), stdout holds one
+``wrote <path>`` line per file, in the order ``_COMMANDS`` lists them,
+then the lines of each .txt file.
+
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 UE placement starvation, 5 quadrature failure, 6 crossing refinement
 stalled.  Failures print one machine-readable JSON line to stderr.
@@ -225,29 +231,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_out(path: str):
+def _write(path: str, content) -> None:
+    # content is (header, rows) for a .csv, lines for a .txt
     try:   # newline="": "\n" endings on every platform
-        return open(path, "w", newline="")
+        fh = open(path, "w", newline="")
     except OSError as exc:   # the path changed after _out_paths checked it
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with _open_out(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_lines(path: str, lines) -> None:
-    with _open_out(path) as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    with fh:
+        if path.endswith(".csv"):
+            header, rows = content
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        else:
+            for line in content:
+                fh.write(line + "\n")
 
 
 def _check_expected_bs(cfg: RunConfig) -> None:
-    # the networks that simulate and validate place must fit in memory;
+    # the networks that a simulating command places must fit in memory;
     # float ** raises OverflowError where * gives inf
     n_bs = cfg.params.lambda_bs * cfg.sim.region_side * cfg.sim.region_side
     if not n_bs <= _MAX_EXPECTED_BS:
@@ -257,7 +260,7 @@ def _check_expected_bs(cfg: RunConfig) -> None:
 
 
 def _check_closed_forms(cfg: RunConfig) -> None:
-    try:   # analytic, sweep and validate evaluate the closed forms
+    try:   # for the commands that evaluate the closed forms
         check_closed_form_domain(cfg.params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -279,54 +282,42 @@ def _out_paths(cfg: RunConfig, names) -> list:
     return paths
 
 
-def cmd_factors(cfg: RunConfig, path: str) -> int:
+def cmd_factors(cfg: RunConfig) -> tuple[int, list]:
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
                                        cfg.pulses, cfg.alpha_grid)
     rows = [(alpha, fac.i_du_sq, fac.i_ud_sq)
             for alpha, fac in zip(cfg.alpha_grid, factors)]
-    _write_csv(path, ("alpha", "i_du_sq", "i_ud_sq"), rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, [(("alpha", "i_du_sq", "i_ud_sq"), rows)]
 
 
-def cmd_analytic(cfg: RunConfig, path: str) -> int:
+def cmd_analytic(cfg: RunConfig) -> tuple[int, list]:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
     rows = [(m.direction.value, alpha, m.ber, m.bandwidth, m.throughput)
             for alpha, ul, dl in sr.rows for m in (ul, dl)]
-    _write_csv(path, ("direction", "alpha", "ber", "bandwidth_hz",
-                      "throughput_bps"), rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, [(("direction", "alpha", "ber", "bandwidth_hz",
+                       "throughput_bps"), rows)]
 
 
-def cmd_simulate(cfg: RunConfig, path: str) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple[int, list]:
     metrics = run_campaign(cfg.params, cfg.sim, list(cfg.alpha_grid),
                            cfg.pulses)
     rows = [(m.direction.value, m.alpha, m.mean_ber, m.std_err, m.n_links,
              m.bandwidth, m.throughput) for m in metrics]
-    _write_csv(path, ("direction", "alpha", "mean_ber", "std_err", "n_links",
-                      "bandwidth_hz", "throughput_bps"), rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, [(("direction", "alpha", "mean_ber", "std_err", "n_links",
+                       "bandwidth_hz", "throughput_bps"), rows)]
 
 
-def cmd_sweep(cfg: RunConfig, csv_path: str, summary_path: str) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple[int, list]:
     sr = sweep_alpha(cfg.params, cfg.pulses, cfg.alpha_grid)
-    try:   # before any file is opened: a stalled search leaves none
+    try:
         lines = find_operating_points(sr).lines()
     except NoCrossingError:
         lines = ("no_crossing=true",)
-    _write_csv(csv_path, ("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
-               sr.table())
-    _write_lines(summary_path, lines)
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return EXIT_OK, [(("alpha", "t_ul", "t_dl", "ber_ul", "ber_dl"),
+                      sr.table()), lines]
 
 
-def cmd_validate(cfg: RunConfig, path: str, txt_path: str) -> int:
+def cmd_validate(cfg: RunConfig) -> tuple[int, list]:
     alphas = list(cfg.alpha_grid)
     # one factor grid serves both the campaign and the closed forms
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
@@ -349,27 +340,31 @@ def cmd_validate(cfg: RunConfig, path: str, txt_path: str) -> int:
         max_gap[m.direction] = max(max_gap[m.direction], gap)
         rows.append((m.direction.value, m.alpha, analytic_ber, m.mean_ber,
                      m.std_err, gap, tol, "pass" if ok else "fail"))
-    _write_csv(path, ("direction", "alpha", "analytic_ber", "empirical_ber",
-                      "std_err", "abs_gap", "tolerance", "status"), rows)
     lines = [
         f"max_abs_gap_ul={max_gap[Direction.UPLINK]:.12g}",
         f"max_abs_gap_dl={max_gap[Direction.DOWNLINK]:.12g}",
         f"base_tolerance={BER_TOLERANCE:.12g}",
         f"status={'fail' if failed else 'pass'}",
     ]
-    _write_lines(txt_path, lines)
-    print(f"wrote {path}")
-    for line in lines:
-        print(line)
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return (EXIT_VALIDATION if failed else EXIT_OK,
+            [(("direction", "alpha", "analytic_ber", "empirical_ber",
+               "std_err", "abs_gap", "tolerance", "status"), rows), lines])
 
 
+# name: (function, the files it writes, the config checks that run before
+# it, help); the function returns its exit code and one content per file
 _COMMANDS = {
-    "factors": (cmd_factors, ("factors.csv",)),
-    "analytic": (cmd_analytic, ("analytic.csv",)),
-    "simulate": (cmd_simulate, ("simulate.csv",)),
-    "sweep": (cmd_sweep, ("sweep.csv", "summary.txt")),
-    "validate": (cmd_validate, ("validate.csv", "validate.txt")),
+    "factors": (cmd_factors, ("factors.csv",), (),
+                "effective interference factors vs overlap"),
+    "analytic": (cmd_analytic, ("analytic.csv",), (_check_closed_forms,),
+                 "closed-form BER/throughput vs overlap"),
+    "simulate": (cmd_simulate, ("simulate.csv",), (_check_expected_bs,),
+                 "Monte Carlo BER/throughput vs overlap"),
+    "sweep": (cmd_sweep, ("sweep.csv", "summary.txt"), (_check_closed_forms,),
+              "analytic sweep plus operating points"),
+    "validate": (cmd_validate, ("validate.csv", "validate.txt"),
+                 (_check_expected_bs, _check_closed_forms),
+                 "cross-check simulation against the closed forms"),
 }
 
 
@@ -388,16 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha-grid", metavar="START:STOP:STEP",
                         help="override the overlap-fraction grid")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("factors", parents=[common],
-                   help="effective interference factors vs overlap")
-    sub.add_parser("analytic", parents=[common],
-                   help="closed-form BER/throughput vs overlap")
-    sub.add_parser("simulate", parents=[common],
-                   help="Monte Carlo BER/throughput vs overlap")
-    sub.add_parser("sweep", parents=[common],
-                   help="analytic sweep plus operating points")
-    sub.add_parser("validate", parents=[common],
-                   help="cross-check simulation against the closed forms")
+    for name, (*_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -425,37 +412,35 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _error_line(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command, names = _COMMANDS[args.command]
+    command, names, checks, _ = _COMMANDS[args.command]
     try:
         cfg = _load_run_config(args)
-        if args.command in ("simulate", "validate"):
-            _check_expected_bs(cfg)
-        if args.command in ("analytic", "sweep", "validate"):
-            _check_closed_forms(cfg)
+        for check in checks:
+            check(cfg)
         paths = _out_paths(cfg, names)
+        code, contents = command(cfg)
+        lines = [f"wrote {path}" for path in paths]
+        for path, content in zip(paths, contents):
+            _write(path, content)
+            if path.endswith(".txt"):
+                lines.extend(content)
     except ConfigError as exc:
-        _error_line("config", str(exc))
-        return EXIT_CONFIG
-    try:
-        return command(cfg, *paths)
+        return _fail("config", exc, EXIT_CONFIG)
     except StarvationError as exc:
-        _error_line("starvation", str(exc))
-        return EXIT_STARVATION
+        return _fail("starvation", exc, EXIT_STARVATION)
     except QuadratureError as exc:
-        _error_line("quadrature", str(exc))
-        return EXIT_QUADRATURE
+        return _fail("quadrature", exc, EXIT_QUADRATURE)
     except RefinementStallError as exc:
-        _error_line("refinement", str(exc))
-        return EXIT_REFINEMENT
-    except ConfigError as exc:
-        _error_line("config", str(exc))
-        return EXIT_CONFIG
+        return _fail("refinement", exc, EXIT_REFINEMENT)
+    print(*lines, sep="\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,10 @@ class SystemParams:
         if self.rho > self.p_u_max:
             raise ValueError(
                 f"rho ({self.rho} W) cannot exceed p_u_max ({self.p_u_max} W)")
+        # b_u + alpha min(b_u, b_d), an accessible band, is at most this sum
+        if not math.isfinite(self.b_u + self.b_d):
+            raise ValueError("b_u + b_d must be finite, got "
+                             f"{self.b_u} + {self.b_d} Hz")
         # the interference factors integrate about twice this ratio in lobes
         if max(self.b_u, self.b_d) > 1e3 * min(self.b_u, self.b_d):
             raise ValueError("b_u and b_d must lie within a factor 1000 of "

@@ -150,8 +150,9 @@ def _peak(pulse: PulseShape) -> float:
 
 def _sinc_power(peak, band, squared, f):
     # peak * sinc(2 f / band)^m with m = 2 where ``squared``, else 1; the
-    # arguments broadcast, one pulse per row in the batched factor kernel
-    base = np.sinc(2.0 * f / band)
+    # arguments broadcast, one pulse per row in the batched factor kernel.
+    # f / (band / 2), not 2 f / band: 2 f overflows for bands near 1e308
+    base = np.sinc(f / (0.5 * band))
     return peak * np.where(squared, base * base, base)
 
 

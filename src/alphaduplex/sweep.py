@@ -237,9 +237,11 @@ class _CachedCurves:
         return ul.throughput - dl.throughput
 
     def balanced_at(self, alpha: float) -> bool:
+        # two curves that meet at zero throughput are not a balanced point
         ul, dl = self.point(alpha)
-        return (abs(ul.throughput - dl.throughput)
-                <= _REFINE_TOL * max(ul.throughput, dl.throughput))
+        top = max(ul.throughput, dl.throughput)
+        return (top > 0.0
+                and abs(ul.throughput - dl.throughput) <= _REFINE_TOL * top)
 
 
 def _scan(curves: _CachedCurves, xs) -> tuple[list, list]:

@@ -296,11 +296,16 @@ class TestCommands:
         assert len(table) == 12
 
     def test_sweep_without_crossing_reports_and_succeeds(self, tmp_path):
+        # at n0 = 1e300 W both throughputs are 0 at every alpha: curves
+        # that meet at zero have no balanced point
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[params]\nbeta = 0\n")
-        rc = cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path)])
-        assert rc == EXIT_OK
-        assert (tmp_path / "summary.txt").read_text() == "no_crossing=true\n"
+        for params in ("beta = 0", "n0 = 1e300 W"):
+            ini.write_text(f"[params]\n{params}\n")
+            rc = cli.main(["sweep", "--config", str(ini),
+                           "--out", str(tmp_path)])
+            assert rc == EXIT_OK
+            assert ((tmp_path / "summary.txt").read_text()
+                    == "no_crossing=true\n")
 
     def test_validate_passes_at_reference_parameters(self, tmp_path):
         ini = tmp_path / "cfg.ini"
@@ -415,7 +420,7 @@ FROZEN_RUNS = {
     # three realizations are too few to pass the gate: the failing run
     # still writes both files
     "validate": (EXIT_VALIDATION, [
-        "wrote {out}/validate.csv",
+        "wrote {out}/validate.csv", "wrote {out}/validate.txt",
         "max_abs_gap_ul=0.12461953463", "max_abs_gap_dl=0.185824891606",
         "base_tolerance=0.02", "status=fail"], {
         "validate.csv": "50471599375064adbcdb5e0ac8c2af38"
@@ -520,6 +525,34 @@ class TestErrorHandling:
         assert json.loads(line)["error"] == "config"
         assert not (tmp_path / "analytic.csv").exists()
 
+    def test_band_sum_must_be_finite(self, tmp_path, capsys):
+        # the widest accessible band, b_u + b_d at alpha = 1 with equal
+        # bands, must be a double: 8.99e307 Hz twice overflows it
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\nb_u = 8.99e307 Hz\nb_d = 8.99e307 Hz\n")
+        for command in FROZEN_RUNS:
+            out = tmp_path / command
+            rc = cli.main([command, "--config", str(ini), "--out", str(out),
+                           "--alpha-grid", "0:1:0.5"])
+            assert rc == EXIT_CONFIG
+            (line,) = capsys.readouterr().err.splitlines()
+            assert json.loads(line) == {
+                "error": "config", "message": "b_u + b_d must be finite, "
+                "got 8.99e+307 + 8.99e+307 Hz"}
+            assert not out.exists()
+        # just below the bound the factors and the closed forms evaluate
+        # with no overflow warning
+        ini.write_text("[params]\nb_u = 8.988e307 Hz\nb_d = 8.988e307 Hz\n")
+        for command in ("factors", "analytic"):
+            assert cli.main([command, "--config", str(ini), "--out",
+                             str(tmp_path), "--alpha-grid", "0:1:0.5"]) == 0
+        assert capsys.readouterr().err == ""
+        ref = tmp_path / "ref"
+        assert cli.main(["factors", "--out", str(ref),
+                         "--alpha-grid", "0:1:0.5"]) == 0
+        assert ((tmp_path / "factors.csv").read_bytes()
+                == (ref / "factors.csv").read_bytes())
+
     def test_band_ratio_bound_is_inclusive(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[params]\nb_d = 1000 MHz\n")
@@ -600,7 +633,7 @@ class TestErrorHandling:
     def test_write_after_the_check_is_still_mapped(self, tmp_path):
         # a name that becomes a directory between the check and the write
         with pytest.raises(ConfigError, match="cannot write output file"):
-            cli._write_lines(str(tmp_path), ["key=value"])
+            cli._write(str(tmp_path), ["key=value"])
 
     @pytest.mark.parametrize("side", ["1000.001 km", "1e200 km"])
     def test_expected_bs_count_is_bounded(self, tmp_path, capsys,
