@@ -242,11 +242,9 @@ def _write(path: str, content) -> None:
             header, rows = content
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows([_fmt(v) for v in row] for row in rows)
         else:
-            for line in content:
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in content)
 
 
 def _check_expected_bs(cfg: RunConfig) -> None:
@@ -260,7 +258,7 @@ def _check_expected_bs(cfg: RunConfig) -> None:
 
 
 def _check_closed_forms(cfg: RunConfig) -> None:
-    try:   # for the commands that evaluate the closed forms
+    try:
         check_closed_form_domain(cfg.params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -395,7 +395,8 @@ def find_operating_points(sr: SweepResult) -> OperatingPoints:
 
     The balanced point is a root of t_ul(alpha) - t_dl(alpha), bracketed
     on (a densification of) the sweep grid, polished by Brent's method and
-    accepted when |t_ul - t_dl| <= _REFINE_TOL * max(t_ul, t_dl); with
+    accepted when |t_ul - t_dl| <= _REFINE_TOL * max(t_ul, t_dl) and that
+    maximum is positive (curves that meet at zero are not balanced); with
     several crossings the one with the largest total throughput wins and
     all are reported.
     The unbalanced point maximizes downlink throughput over the grid
