@@ -447,6 +447,21 @@ class TestFrozenOutputs:
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in out.iterdir()} == want_files
 
+    def test_eta3_simulate(self, tmp_path, capsys):
+        # at eta = 3 UEs are placed through the k-d tree, which eta = 4
+        # never reaches; the campaign's link assembly is frozen here too
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\neta = 3\n[sim]\nn_realizations = 2\n")
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                       "--seed", "1", "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in out.iterdir()} == {
+            "simulate.csv": "039c6ba14701f5b7b0ab771fff0c33b8"
+                            "96038a7c12e1496b8a153dd6f26f82d5"}
+
     @pytest.mark.parametrize("command, stage", [
         ("factors", "interference_factor_grid"), ("analytic", "sweep_alpha"),
         ("simulate", "run_campaign"), ("sweep", "sweep_alpha"),
