@@ -117,8 +117,6 @@ class NetworkRealization:
     ue_positions: np.ndarray      # (n_bs, 2), km
     tx_power: np.ndarray          # (n_bs,), W, equals rho * (serving distance in m)^eta
     serving_distance: np.ndarray  # (n_bs,), km
-    region_side: float            # km
-    core_side: float              # km
 
     def __post_init__(self) -> None:
         n = self.bs_positions.shape[0]
@@ -126,26 +124,12 @@ class NetworkRealization:
             raise ValueError("position arrays must have shape (n_bs, 2)")
         if self.tx_power.shape != (n,) or self.serving_distance.shape != (n,):
             raise ValueError("per-UE arrays must have one entry per BS")
-        if not 0.0 < self.core_side < self.region_side:
-            raise ValueError("core_side must satisfy 0 < core_side < region_side")
         if np.any(self.tx_power < 0.0) or np.any(self.serving_distance < 0.0):
             raise ValueError("powers and distances must be nonnegative")
 
     @property
     def n_bs(self) -> int:
         return self.bs_positions.shape[0]
-
-    def core_bs_indices(self) -> np.ndarray:
-        return self._core_indices(self.bs_positions)
-
-    def core_ue_indices(self) -> np.ndarray:
-        return self._core_indices(self.ue_positions)
-
-    def _core_indices(self, pos: np.ndarray) -> np.ndarray:
-        lo = 0.5 * (self.region_side - self.core_side)
-        hi = lo + self.core_side
-        x, y = pos.T
-        return np.flatnonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
 
 
 @dataclass(frozen=True)
@@ -333,8 +317,7 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         span = slice(starts[j], starts[j] + sizes[j])
         d = dist[span].copy()
         out[p, cfg, idx] = NetworkRealization(
-            positions[j], ue[span].copy(), p.rho * (M_PER_KM * d) ** p.eta, d,
-            cfg.region_side, cfg.core_side)
+            positions[j], ue[span].copy(), p.rho * (M_PER_KM * d) ** p.eta, d)
     return out
 
 
@@ -417,6 +400,22 @@ def _link_parts(rx_pos: np.ndarray, tagged: np.ndarray,
     return h0, p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)
 
 
+def _core_link_parts(real: NetworkRealization, p: SystemParams,
+                     cfg: SimConfig, rng) -> tuple:
+    """(ul, dl) parts of the links received in the centred core window.
+
+    Its BSs receive the uplink, whose gains are drawn first, and its active
+    UEs the downlink; dl adds each UE's r_o in m and its transmit power.
+    """
+    lo = 0.5 * (cfg.region_side - cfg.core_side)
+    hi = lo + cfg.core_side
+    bs, ue = (np.flatnonzero(np.all((pos >= lo) & (pos <= hi), axis=1))
+              for pos in (real.bs_positions, real.ue_positions))
+    return (_link_parts(real.bs_positions[bs], bs, real, p, rng),
+            _link_parts(real.ue_positions[ue], ue, real, p, rng) + (
+                M_PER_KM * real.serving_distance[ue], real.tx_power[ue]))
+
+
 def _uplink_sinr_from_parts(h0, bs_sum, ue_sum, factors: InterferenceFactors,
                             p: SystemParams):
     # rho h0 (exact inversion) over cross-scaled DL, co-channel UL,
@@ -470,18 +469,12 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     elif len(factors) != len(alphas):
         raise ValueError("factors must hold one entry per alpha")
 
-    ul_parts = []
-    dl_parts = []
-    for idx in range(cfg.n_realizations):
-        real = sample_realization(p, cfg, idx)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(idx, 1)))
-        bs, ue = real.core_bs_indices(), real.core_ue_indices()
-        ul_parts.append(_link_parts(real.bs_positions[bs], bs, real, p, rng))
-        dl_parts.append(_link_parts(real.ue_positions[ue], ue, real, p, rng) + (
-            M_PER_KM * real.serving_distance[ue], real.tx_power[ue]))
-    ul = np.concatenate(ul_parts, axis=1)   # rows: h0, bs_sum, ue_sum
-    dl = np.concatenate(dl_parts, axis=1)   # and then r_o_m, own_tx
+    parts = [_core_link_parts(sample_realization(p, cfg, idx), p, cfg,
+                              np.random.default_rng(np.random.SeedSequence(
+                                  cfg.seed, spawn_key=(idx, 1))))
+             for idx in range(cfg.n_realizations)]
+    ul = np.concatenate([u for u, _ in parts], axis=1)   # rows: h0, bs_sum, ue_sum
+    dl = np.concatenate([d for _, d in parts], axis=1)   # and then r_o_m, own_tx
     if ul.shape[1] == 0 or dl.shape[1] == 0:
         raise ValueError("no measurement links fell inside the core window; "
                          "increase n_realizations or the region size")

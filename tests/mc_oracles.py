@@ -469,7 +469,7 @@ def sample_realization_per_round(p: SystemParams, cfg,
     n_bs = int(rng.poisson(p.lambda_bs * area))
     if n_bs == 0:
         return NetworkRealization(np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
-                                  np.empty(0), cfg.region_side, cfg.core_side)
+                                  np.empty(0))
     bs = rng.random((n_bs, 2)) * cfg.region_side
     tree = cKDTree(bs)
     r_max_km = max_inversion_radius_m(p) / M_PER_KM
@@ -499,7 +499,7 @@ def sample_realization_per_round(p: SystemParams, cfg,
             f"{montecarlo._CANDIDATE_CAP} candidates each")
 
     tx = p.rho * (M_PER_KM * dist) ** p.eta
-    return NetworkRealization(bs, ue, tx, dist, cfg.region_side, cfg.core_side)
+    return NetworkRealization(bs, ue, tx, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +519,26 @@ def _interference_sums(rx, own: int, real, p: SystemParams, rng):
     return h0, bs_sum, ue_sum
 
 
-def link_parts_per_link(real, p: SystemParams, rng):
+def core_indices(pos, cfg) -> np.ndarray:
+    """Rows of pos in the centred square of side cfg.core_side, edges in."""
+    lo = (cfg.region_side - cfg.core_side) / 2
+    hi = lo + cfg.core_side
+    return np.array([i for i, (x, y) in enumerate(pos.tolist())
+                     if lo <= x <= hi and lo <= y <= hi], dtype=np.intp)
+
+
+def link_parts_per_link(real, p: SystemParams, cfg, rng):
     """Uplink then downlink link parts of one realization, link by link.
 
-    Returns (ul, dl): ul rows are (h0, bs_sum, ue_sum) at each core BS,
-    dl rows are (h0, bs_sum, ue_sum, r_o_m, own_tx) at each core UE.
+    Returns (ul, dl): ul rows are (h0, bs_sum, ue_sum) at each BS of the
+    core window, dl rows are (h0, bs_sum, ue_sum, r_o_m, own_tx) at each
+    active UE in it.
     """
     ul = [_interference_sums(real.bs_positions[b], b, real, p, rng)
-          for b in real.core_bs_indices()]
+          for b in core_indices(real.bs_positions, cfg)]
     dl = [_interference_sums(real.ue_positions[u], u, real, p, rng)
           + (M_PER_KM * real.serving_distance[u], float(real.tx_power[u]))
-          for u in real.core_ue_indices()]
+          for u in core_indices(real.ue_positions, cfg)]
     return np.reshape(ul, (-1, 3)), np.reshape(dl, (-1, 5))
 
 

@@ -17,12 +17,13 @@ from scipy import spatial
 
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex import montecarlo
-from alphaduplex.model import M_PER_KM, Direction, SystemParams, max_inversion_radius_m
+from alphaduplex.model import Direction, SystemParams, max_inversion_radius_m
 from alphaduplex.montecarlo import (
     EmpiricalMetrics,
     NetworkRealization,
     SimConfig,
     StarvationError,
+    _core_link_parts,
     _link_parts,
     run_campaign,
     sample_realization,
@@ -37,6 +38,7 @@ from alphaduplex.pulse import (
 )
 
 from mc_oracles import (
+    core_indices,
     link_parts_out_of_place,
     link_parts_per_link,
     sample_realization_per_round,
@@ -46,14 +48,15 @@ REF = SystemParams()
 RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 ZERO = InterferenceFactors(0.0, 0.0)
 FULL = InterferenceFactors(1.0, 1.0)
+# a 2 km region whose 1 km core window holds single_bs_realization's links
+SINGLE_CFG = SimConfig(n_realizations=1, region_side=2.0, core_side=1.0)
 
 
 def single_bs_realization(serving_km: float = 0.1) -> NetworkRealization:
     bs = np.array([[1.0, 1.0]])
     ue = np.array([[1.0, 1.0 + serving_km]])
     tx = np.array([REF.rho * (1000.0 * serving_km) ** REF.eta])
-    return NetworkRealization(bs, ue, tx, np.array([serving_km]),
-                              region_side=2.0, core_side=1.0)
+    return NetworkRealization(bs, ue, tx, np.array([serving_km]))
 
 
 def cap_candidates(monkeypatch, cap):
@@ -463,28 +466,19 @@ class TestNearPairs:
         assert_pairs_as_k_d_tree([[0.0, 0.0], [20.0, 20.0]], r)
 
 
-def batched_link_parts(real, p, rng):
-    """run_campaign's per-realization assembly, as (k, 3) and (k, 5) arrays."""
-    bs = real.core_bs_indices()
-    ul = _link_parts(real.bs_positions[bs], bs, real, p, rng)
-    ue = real.core_ue_indices()
-    dl = _link_parts(real.ue_positions[ue], ue, real, p, rng) + (
-        M_PER_KM * real.serving_distance[ue], real.tx_power[ue])
-    return np.column_stack(ul), np.column_stack(dl)
-
-
-def core_sinrs(real, fac, p, rng):
+def core_sinrs(real, fac, p, cfg, rng):
     """Uplink and downlink SINRs of the core links, as run_campaign has them."""
-    ul, dl = batched_link_parts(real, p, rng)
-    return (montecarlo._uplink_sinr_from_parts(*ul.T, fac, p),
-            montecarlo._downlink_sinr_from_parts(*dl.T, fac, p))
+    ul, dl = _core_link_parts(real, p, cfg, rng)
+    return (montecarlo._uplink_sinr_from_parts(*ul, fac, p),
+            montecarlo._downlink_sinr_from_parts(*dl, fac, p))
 
 
 class TestSinr:
     def test_single_bs_uplink_reduces_to_snr(self):
         real = single_bs_realization()
         p0 = dataclasses.replace(REF, beta=0.0)
-        sinr, _ = core_sinrs(real, ZERO, p0, np.random.default_rng(5))
+        sinr, _ = core_sinrs(real, ZERO, p0, SINGLE_CFG,
+                             np.random.default_rng(5))
         h0 = float(np.random.default_rng(5).exponential())
         expected = p0.rho * h0 / p0.sigma_n_sq
         assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
@@ -492,27 +486,30 @@ class TestSinr:
     def test_single_bs_downlink_reduces_to_snr(self):
         real = single_bs_realization(serving_km=0.1)
         p0 = dataclasses.replace(REF, beta=0.0)
-        _, sinr = core_sinrs(real, ZERO, p0, np.random.default_rng(6))
+        _, sinr = core_sinrs(real, ZERO, p0, SINGLE_CFG,
+                             np.random.default_rng(6))
         # the uplink link draws its one gain first
         h0 = float(np.random.default_rng(6).exponential(size=2)[1])
         expected = p0.p_b * h0 * 100.0 ** -p0.eta / p0.sigma_n_sq
         assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
 
     def test_uplink_independent_of_bs_power_when_decoupled(self):
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
+        cfg = SimConfig(n_realizations=1, seed=17)
+        real = sample_realization(REF, cfg, 0)
         fac = InterferenceFactors(0.0, 0.4)
         p0 = dataclasses.replace(REF, beta=0.0)
         p_big = dataclasses.replace(p0, p_b=50.0)
-        a, _ = core_sinrs(real, fac, p0, np.random.default_rng(8))
-        b, _ = core_sinrs(real, fac, p_big, np.random.default_rng(8))
+        a, _ = core_sinrs(real, fac, p0, cfg, np.random.default_rng(8))
+        b, _ = core_sinrs(real, fac, p_big, cfg, np.random.default_rng(8))
         assert a.size >= 1 and np.array_equal(a, b)
 
     def test_downlink_ratio_homogeneity(self):
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 1)
+        cfg = SimConfig(n_realizations=2, seed=17)
+        real = sample_realization(REF, cfg, 1)
         p0 = dataclasses.replace(REF, beta=0.0)
         p_scaled = dataclasses.replace(p0, p_b=7.0 * p0.p_b, n0=7.0 * p0.n0)
-        _, a = core_sinrs(real, ZERO, p0, np.random.default_rng(8))
-        _, b = core_sinrs(real, ZERO, p_scaled, np.random.default_rng(8))
+        _, a = core_sinrs(real, ZERO, p0, cfg, np.random.default_rng(8))
+        _, b = core_sinrs(real, ZERO, p_scaled, cfg, np.random.default_rng(8))
         assert a.size >= 1
         assert a.tolist() == pytest.approx(b.tolist(), rel=1e-12)
 
@@ -532,23 +529,24 @@ class TestLinkAssembly:
         stream = np.random.SeedSequence(seed, spawn_key=(idx, 1))
         rng_oracle = np.random.default_rng(stream)
         rng_batched = np.random.default_rng(stream)
-        ul_o, dl_o = link_parts_per_link(real, REF, rng_oracle)
-        ul_b, dl_b = batched_link_parts(real, REF, rng_batched)
+        ul_o, dl_o = link_parts_per_link(real, REF, cfg, rng_oracle)
+        ul_b, dl_b = _core_link_parts(real, REF, cfg, rng_batched)
         assert ul_o.shape[0] >= 1 and dl_o.shape[0] >= 1
-        assert np.array_equal(ul_b, ul_o)
-        assert np.array_equal(dl_b, dl_o)
+        assert np.array_equal(np.column_stack(ul_b), ul_o)
+        assert np.array_equal(np.column_stack(dl_b), dl_o)
         # both consumed exactly the same stream
         assert rng_batched.bit_generator.state == rng_oracle.bit_generator.state
 
     @pytest.mark.parametrize("links", ["none", "one", "core"])
     @pytest.mark.parametrize("direction", list(Direction))
     def test_in_place_equals_out_of_place(self, links, direction):
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=29), 0)
-        core = (real.core_bs_indices() if direction is Direction.UPLINK
-                else real.core_ue_indices())
-        tagged = {"none": core[:0], "one": core[:1], "core": core}[links]
+        cfg = SimConfig(n_realizations=1, seed=29)
+        real = sample_realization(REF, cfg, 0)
         pos = (real.bs_positions if direction is Direction.UPLINK
-               else real.ue_positions)[tagged]
+               else real.ue_positions)
+        core = core_indices(pos, cfg)
+        tagged = {"none": core[:0], "one": core[:1], "core": core}[links]
+        pos = pos[tagged]
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         got = _link_parts(pos, tagged, real, REF, rng_a)
         want = link_parts_out_of_place(pos, tagged, real, REF, rng_b)
@@ -560,11 +558,10 @@ class TestLinkAssembly:
     def test_parts_do_not_pin_the_gain_block(self):
         # a view into the (k, 2 n_bs - 1) gains would keep every block of a
         # campaign alive until the end, multiplying its peak memory
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=23), 0)
-        bs = real.core_bs_indices()
-        parts = _link_parts(real.bs_positions[bs], bs, real, REF,
-                            np.random.default_rng(1))
-        assert all(part.base is None for part in parts)
+        cfg = SimConfig(n_realizations=1, seed=23)
+        ul, dl = _core_link_parts(sample_realization(REF, cfg, 0), REF, cfg,
+                                  np.random.default_rng(1))
+        assert all(part.base is None for part in ul + dl)
 
     def test_empty_core_draws_no_gains(self):
         cfg = SimConfig(n_realizations=2, seed=0, region_side=6.0,
@@ -573,18 +570,20 @@ class TestLinkAssembly:
             real = sample_realization(REF, cfg, idx)
             rng = np.random.default_rng(99)
             before = rng.bit_generator.state
-            ul_b, dl_b = batched_link_parts(real, REF, rng)
-            ul_o, dl_o = link_parts_per_link(real, REF, np.random.default_rng(99))
-            assert ul_b.shape == ul_o.shape == (0, 3)
-            assert dl_b.shape == dl_o.shape == (0, 5)
+            ul_b, dl_b = _core_link_parts(real, REF, cfg, rng)
+            ul_o, dl_o = link_parts_per_link(real, REF, cfg,
+                                             np.random.default_rng(99))
+            assert np.column_stack(ul_b).shape == ul_o.shape == (0, 3)
+            assert np.column_stack(dl_b).shape == dl_o.shape == (0, 5)
             assert rng.bit_generator.state == before
 
     def test_sinr_views_match_oracle_parts(self):
         # both helpers against the written-out SINRs on per-link oracle parts
-        real = sample_realization(REF, SimConfig(n_realizations=1, seed=17), 0)
+        cfg = SimConfig(n_realizations=1, seed=17)
+        real = sample_realization(REF, cfg, 0)
         fac = InterferenceFactors(0.3, 0.6)
         sigma_sq = REF.sigma_n_sq
-        ul, dl = link_parts_per_link(real, REF, np.random.default_rng(4))
+        ul, dl = link_parts_per_link(real, REF, cfg, np.random.default_rng(4))
         assert ul.shape[0] >= 1 and dl.shape[0] >= 1
         h0, bs_sum, ue_sum = ul.T
         assert np.array_equal(
@@ -718,7 +717,7 @@ class TestEdgeEffects:
             lo, hi = 4.0, 24.0
             bs_in20 = np.all((real.bs_positions >= lo) & (real.bs_positions <= hi), axis=1)
             ue_in20 = np.all((real.ue_positions >= lo) & (real.ue_positions <= hi), axis=1)
-            for b in real.core_bs_indices():
+            for b in core_indices(real.bs_positions, cfg):
                 rx = real.bs_positions[b]
                 keep = np.arange(real.n_bs) != b
                 h0 = float(rng.exponential())
