@@ -189,7 +189,7 @@ def _pct(new: float, base: float) -> float:
         if new == 0.0:
             return 0.0
         return math.copysign(math.inf, new)
-    return 100.0 * (new - base) / base
+    return 100.0 * ((new - base) / base)
 
 
 def _evaluate_point(params: SystemParams, alpha: float,

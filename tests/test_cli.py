@@ -568,6 +568,21 @@ class TestErrorHandling:
         assert ((tmp_path / "factors.csv").read_bytes()
                 == (ref / "factors.csv").read_bytes())
 
+    def test_gains_at_huge_bands_are_finite(self, tmp_path, capsys):
+        # the gains over half duplex are ratios of throughputs near the
+        # largest double: the difference of two of them overflowed when
+        # multiplied by 100 first, and printed -inf and inf
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\nb_u = 8.988e307 Hz\nb_d = 8.988e307 Hz\n")
+        rc = cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path),
+                       "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_OK
+        pct = [line for line in capsys.readouterr().out.splitlines()
+               if line.split("=")[0].endswith("_pct")]
+        # those of the 1 MHz reference
+        assert pct == [line for line in FROZEN_RUNS["sweep"][1]
+                       if line.split("=")[0].endswith("_pct")]
+
     def test_band_ratio_bound_is_inclusive(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[params]\nb_d = 1000 MHz\n")

@@ -313,6 +313,41 @@ class TestLockstepPlacement:
                 tree_rows_left.append(max(tab) < max(tree))
         assert len(tree_rows_left) >= 3 and any(tree_rows_left)
 
+    def test_listed_pairs_past_the_budget_ask_the_tree(self, monkeypatch):
+        # realizations expected to fit a budget of 300 entries (48 BSs of
+        # about 4.8 each on a 4 km side) whose listed pairs do not: each
+        # pair reported twice leaves every decision as it is, but doubles
+        # the rows, so some realizations drop their list and ask the tree
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 300)
+        monkeypatch.setattr(montecarlo, "_block", {})
+        cfg = SimConfig(n_realizations=10, seed=3, region_side=4.0,
+                        core_side=1.0)
+        near_pairs = montecarlo._near_pairs
+        past, trees = [], []
+
+        def twice(pos, *args):
+            near = np.concatenate([near_pairs(pos, *args)] * 2)
+            if pos.shape[0] + 2 * near.shape[0] > 300:
+                past.append(pos)
+            return near
+
+        class Counted(spatial.cKDTree):
+            def __init__(self, pos, *args, **kwargs):
+                trees.append(pos)
+                super().__init__(pos, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_near_pairs", twice)
+        with monkeypatch.context() as m:
+            m.setattr(spatial, "cKDTree", Counted)
+            reals = [sample_realization(REF, cfg, i)
+                     for i in range(cfg.n_realizations)]
+        # the realizations past the budget, and only they, built a tree
+        assert 0 < len(past) < cfg.n_realizations
+        assert [id(pos) for pos in trees] == [id(pos) for pos in past]
+        for idx, real in enumerate(reals):
+            assert_same_realization(real,
+                                    sample_realization_per_round(REF, cfg, idx))
+
     def test_pair_table_memory_stays_bounded(self):
         # eta = 3: r_max = 2.15 km, about 145 neighbours per BS.  Listing
         # them would keep some 170,000 rows (4 MB, and as much again per
