@@ -26,7 +26,11 @@ import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget before converging."""
+    """Adaptive quadrature could not converge.
+
+    Either the subdivision budget ran out, or an integrand value or a panel
+    sum was not finite, which no bisection mends.
+    """
 
 
 @dataclass(frozen=True)
@@ -224,12 +228,22 @@ def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    y = np.asarray(f((mid[..., None] + half[..., None] * _K_NODES).ravel()),
-                   dtype=float)
-    y = y.reshape(y.shape[:-1] + lo.shape + _K_NODES.shape)
-    kron = half * (y @ _K_WEIGHTS)
-    gauss = half * (y @ _G_WEIGHTS)
-    return kron, np.abs(kron - gauss)
+    # a nan from f (0 * inf, inf - inf) or an infinite panel sum never
+    # converges: fail at once and name the operation, not after the budget
+    with np.errstate(invalid="raise"):
+        try:
+            y = np.asarray(
+                f((mid[..., None] + half[..., None] * _K_NODES).ravel()),
+                dtype=float)
+            y = y.reshape(y.shape[:-1] + lo.shape + _K_NODES.shape)
+            with np.errstate(over="raise"):
+                kron = half * (y @ _K_WEIGHTS)
+                gauss = half * (y @ _G_WEIGHTS)
+                err = np.abs(kron - gauss)
+        except FloatingPointError as exc:
+            raise QuadratureError(
+                f"the integrand has no finite value: {exc}") from None
+    return kron, err
 
 
 def _seed_pass(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -253,7 +267,8 @@ def adaptive_quad(f: Callable, a: float, b: float,
     max(abs_tol, rel_tol * |value|).  Each pass calls ``f`` once: on all
     initial panels, then on both halves of each bisected panel.  Raises
     QuadratureError once ``_MAX_SUBDIVISIONS`` bisections are spent
-    without converging.
+    without converging, and at once where an integrand value is nan or
+    infinite or a panel sum overflows.
     """
     edges, vals, errs = _seed_pass(f, np.asarray(a, dtype=float),
                                    np.asarray(b, dtype=float))

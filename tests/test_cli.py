@@ -583,6 +583,35 @@ class TestErrorHandling:
         assert pct == [line for line in FROZEN_RUNS["sweep"][1]
                        if line.split("=")[0].endswith("_pct")]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config, operation", [
+        # beta rho |I_sd|^2 underflows to 0 and r^(2 eta) overflows in the
+        # downlink's self-interference over serving distances to 1e77 m
+        ("rho = 2.2250738585072014e-308 W\nbeta = 5e-324\n"
+         "lambda_bs = 1e-150 /km2\n", "invalid value encountered in multiply"),
+        # |I_ud|^2 rho / p_b overflows, and meets r^eta = 0 at eta = 1000
+        ("p_b = 5e-324 W\nbeta = 0\neta = 1000\nomega2_u = 1e30\n",
+         "invalid value encountered in multiply"),
+        # the pulse spectra's peaks overflow in the factor integrals
+        ("b_u = 1.6205e-320 Hz\nb_d = 1.6205e-320 Hz\n",
+         "invalid value encountered in matmul"),
+    ], ids=["self_interference", "ue_exclusion", "subnormal_bands"])
+    def test_closed_forms_with_no_finite_value(self, tmp_path, capsys,
+                                               config, operation):
+        # these accepted sets used to stall the quadrature with a warning
+        # per nan; the first nan now ends the run with one JSON line
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[params]\n" + config)
+        out = tmp_path / "out"
+        rc = cli.main(["analytic", "--config", str(ini), "--out", str(out),
+                       "--alpha-grid", "0:1:0.5"])
+        assert rc == EXIT_QUADRATURE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "quadrature",
+            "message": f"the integrand has no finite value: {operation}"}
+        assert list(out.iterdir()) == []
+
     def test_band_ratio_bound_is_inclusive(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[params]\nb_d = 1000 MHz\n")

@@ -241,6 +241,27 @@ class TestAdaptiveQuad:
         with pytest.raises(QuadratureError):
             adaptive_quad(lambda t: np.sin(1e5 * t), 0.0, 1.0, spec)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("f, operation", [
+        (lambda t: np.log(t - 2.0), "invalid value encountered in log"),
+        # the Gauss rule weighs some Kronrod nodes 0, and 0 * inf is nan
+        (lambda t: np.full_like(t, np.inf), "invalid value encountered in matmul"),
+        # every value finite, the panel sums not
+        (lambda t: np.full_like(t, 1.7e308), "overflow encountered in matmul"),
+    ], ids=["nan", "inf", "sum_overflows"])
+    def test_non_finite_values_fail_at_once(self, f, operation):
+        # no bisection mends them: the first pass raises, with no warning
+        calls = []
+
+        def counted(t):
+            calls.append(1)
+            return f(t)
+
+        with pytest.raises(QuadratureError) as info:
+            adaptive_quad(counted, 0.0, 1.0)
+        assert str(info.value) == f"the integrand has no finite value: {operation}"
+        assert len(calls) == 1
+
     def test_scalar_family_returns_float(self):
         val = adaptive_quad(lambda t: np.cos(t), 0.0, 1.0)
         assert type(val) is float
