@@ -22,6 +22,18 @@ from dataclasses import dataclass
 
 from .specfun import lower_incomplete_gamma
 
+__all__ = [
+    "M_PER_KM",
+    "Direction",
+    "dbm_to_watts",
+    "db_to_linear",
+    "per_km2_to_per_m2",
+    "SystemParams",
+    "max_inversion_radius_m",
+    "check_closed_form_domain",
+    "uplink_power_moment",
+]
+
 M_PER_KM = 1000.0
 
 

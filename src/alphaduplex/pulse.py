@@ -32,6 +32,20 @@ import numpy as np
 from .model import Direction, SystemParams
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad, quad_intervals
 
+__all__ = [
+    "PulseKind",
+    "PulsePair",
+    "PulseShape",
+    "BandPlan",
+    "InterferenceFactors",
+    "link_throughput",
+    "carrier_offset",
+    "spectrum",
+    "make_pulses",
+    "interference_factors",
+    "interference_factor_grid",
+]
+
 # Lobes per integrand call, 15 Kronrod nodes on each of their 8 seed panels:
 # the lobes of an alpha grid are integrated this many at a time, in band
 # order and across alpha boundaries, which bounds the memory of one call.

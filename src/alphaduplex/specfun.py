@@ -24,6 +24,18 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "QuadratureError",
+    "QuadratureSpec",
+    "DEFAULT_QUADRATURE",
+    "erfc",
+    "lower_incomplete_gamma",
+    "hyp2f1_special",
+    "adaptive_quad",
+    "quad_intervals",
+    "integrate_semi_infinite",
+]
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not converge.

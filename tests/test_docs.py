@@ -89,7 +89,8 @@ def test_modules_found():
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_are_defined(name):
     module = importlib.import_module(f"alphaduplex.{name}")
-    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    # every module states its public names
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"alphaduplex.{name}.__all__ lists undefined {missing}"
 
 
@@ -120,7 +121,6 @@ USED_OUTSIDE_TESTS = _names_used_outside_tests()
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_serve_more_than_the_tests(name):
     module = importlib.import_module(f"alphaduplex.{name}")
-    unused = [n for n in getattr(module, "__all__", ())
-              if n not in USED_OUTSIDE_TESTS]
+    unused = [n for n in module.__all__ if n not in USED_OUTSIDE_TESTS]
     assert not unused, (f"alphaduplex.{name}.__all__ lists {unused}, which "
                         "only the tests use")
