@@ -526,7 +526,10 @@ class TestErrorHandling:
         "[params]\nb_d = 1 Hz\n",
         "[params]\nomega1_u = 2\n",
         "[params]\nomega1_d = 1.5\n",
-    ], ids=["band_ratio_high", "band_ratio_low", "omega1_u", "omega1_d"])
+        # half of 5e-324 Hz rounds to 0: the factors' lobe count divided by it
+        "[params]\nb_u = 5e-324 Hz\nb_d = 5e-324 Hz\n",
+    ], ids=["band_ratio_high", "band_ratio_low", "omega1_u", "omega1_d",
+            "half_band_zero"])
     def test_out_of_range_params_are_config_errors(self, tmp_path, capsys,
                                                    config):
         # a huge band ratio used to hang in the factor integrals, and
