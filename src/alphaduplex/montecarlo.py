@@ -469,10 +469,12 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     elif len(factors) != len(alphas):
         raise ValueError("factors must hold one entry per alpha")
 
-    parts = [_core_link_parts(sample_realization(p, cfg, idx), p, cfg,
-                              np.random.default_rng(np.random.SeedSequence(
-                                  cfg.seed, spawn_key=(idx, 1))))
-             for idx in range(cfg.n_realizations)]
+    parts = []
+    for idx in range(cfg.n_realizations):
+        real = sample_realization(p, cfg, idx)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(idx, 1)))
+        parts.append(_core_link_parts(real, p, cfg, rng))
     ul = np.concatenate([u for u, _ in parts], axis=1)   # rows: h0, bs_sum, ue_sum
     dl = np.concatenate([d for _, d in parts], axis=1)   # and then r_o_m, own_tx
     if ul.shape[1] == 0 or dl.shape[1] == 0:

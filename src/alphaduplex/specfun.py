@@ -40,8 +40,8 @@ __all__ = [
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not converge.
 
-    Either the subdivision budget ran out, or an integrand value or a panel
-    sum was not finite, which no bisection mends.
+    Either the subdivision budget ran out, or the integrand or a panel sum
+    formed a value that is not finite, which no bisection mends.
     """
 
 
@@ -240,8 +240,8 @@ def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    # a nan from f (0 * inf, inf - inf) or an infinite panel sum never
-    # converges: fail at once and name the operation, not after the budget
+    # a nan or an infinite panel sum never converges: fail at once, naming
+    # the operation, rather than after the whole subdivision budget
     with np.errstate(invalid="raise"):
         try:
             y = np.asarray(
@@ -279,8 +279,8 @@ def adaptive_quad(f: Callable, a: float, b: float,
     max(abs_tol, rel_tol * |value|).  Each pass calls ``f`` once: on all
     initial panels, then on both halves of each bisected panel.  Raises
     QuadratureError once ``_MAX_SUBDIVISIONS`` bisections are spent
-    without converging, and at once where an integrand value is nan or
-    infinite or a panel sum overflows.
+    without converging, and at once where the integrand or a panel's rule
+    forms a nan (0 * inf, inf - inf) or a panel sum overflows.
     """
     edges, vals, errs = _seed_pass(f, np.asarray(a, dtype=float),
                                    np.asarray(b, dtype=float))
