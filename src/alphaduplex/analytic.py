@@ -120,7 +120,7 @@ def _ue_on_uplink(p: SystemParams):
     # 2F1 exclusion together with E[P_u^(2/eta)]
     b = 1.0 - 2.0 / p.eta
     k = (2.0 * math.pi * p.lambda_per_m2 / (p.eta - 2.0)
-         * p.rho ** (-2.0 / p.eta) * uplink_power_moment(2.0 / p.eta, p))
+         * p.rho ** (-2.0 / p.eta) * uplink_power_moment(p))
     return lambda s: k * _x_hyp2f1(b, s)
 
 

@@ -317,11 +317,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, list]:
 
 def cmd_validate(cfg: RunConfig) -> tuple[int, list]:
     alphas = list(cfg.alpha_grid)
-    # one factor grid serves both the campaign and the closed forms
+    metrics = run_campaign(cfg.params, cfg.sim, alphas, cfg.pulses)
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
                                        cfg.pulses, alphas)
-    metrics = run_campaign(cfg.params, cfg.sim, alphas, cfg.pulses,
-                           factors=factors)
     # rows come as (uplink, downlink) per alpha; one analytic point each
     analytic = []
     for m, fac in zip(metrics[::2], factors):

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .specfun import lower_incomplete_gamma
+from .specfun import lower_gamma_2
 
 __all__ = [
     "M_PER_KM",
@@ -152,21 +152,25 @@ def check_closed_form_domain(p: SystemParams) -> None:
     if pi_lam * norm == 0.0:   # uplink_power_moment's denominator
         raise ValueError(f"lambda_bs is too small: pi lambda (1 - e^-c) "
                          f"underflows to 0 at {p.lambda_bs} /km2")
+    try:
+        # _ue_on_uplink's factor: a float power that overflows raises
+        p.rho ** (-2.0 / p.eta)
+    except OverflowError:
+        raise ValueError(f"rho must keep rho^(-2/eta) below the largest "
+                         f"double, got {p.rho} W at eta {p.eta}") from None
 
 
-def uplink_power_moment(a: float, p: SystemParams) -> float:
-    """E[P_u^a] for the truncated channel-inversion uplink power, watts^a.
+def uplink_power_moment(p: SystemParams) -> float:
+    """E[P_u^(2/eta)] of the truncated channel-inversion uplink power.
 
-    Closed form via the lower incomplete gamma function:
-        E[P_u^a] = rho^a * gamma(a eta/2 + 1, c) / ((pi lam)^(a eta/2) (1 - e^-c)),
+    The one moment the UE-interference transforms need, in closed form via
+    the lower incomplete gamma function of order 2:
+        E[P_u^(2/eta)] = rho^(2/eta) * gamma(2, c) / (pi lam (1 - e^-c)),
     with c = pi lam (p_u_max/rho)^(2/eta) and lam in m^-2 (the power law
     reads distances in meters).
     """
-    if not a > 0.0:
-        raise ValueError(f"moment order a must be positive, got {a}")
     pi_lam, c, norm = _inversion_disk(p)
-    s = a * p.eta / 2.0 + 1.0
-    return p.rho ** a * lower_incomplete_gamma(s, c) / (pi_lam ** (s - 1.0) * norm)
+    return p.rho ** (2.0 / p.eta) * lower_gamma_2(c) / (pi_lam * norm)
 
 
 def _inversion_disk(p: SystemParams) -> tuple[float, float, float]:

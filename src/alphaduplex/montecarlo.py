@@ -447,16 +447,15 @@ def _pooled(direction: Direction, alpha: float, vals: np.ndarray,
 
 
 def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
-                 pulses: PulsePair, *, factors=None) -> list:
+                 pulses: PulsePair) -> list:
     """Empirical BER/throughput for both directions at every alpha.
 
     Links are collected from BSs (uplink) and active UEs (downlink)
     inside the core window, pooled across realizations.  Geometry and
     gains are shared across alpha values (common random numbers); each
     alpha only reweights the stored interference sums by its factors.
-    factors, when given, is interference_factor_grid(p.b_u, p.b_d, pulses,
-    alpha_list), already computed by the caller.  Returns one uplink and
-    one downlink EmpiricalMetrics per alpha, in alpha_list order.
+    Returns one uplink and one downlink EmpiricalMetrics per alpha, in
+    alpha_list order.
     """
     alphas = [float(a) for a in alpha_list]
     if not alphas:
@@ -464,10 +463,7 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    if factors is None:
-        factors = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
-    elif len(factors) != len(alphas):
-        raise ValueError("factors must hold one entry per alpha")
+    factors = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
 
     parts = []
     for idx in range(cfg.n_realizations):

@@ -1,18 +1,16 @@
 """Special functions and adaptive quadrature used by the closed-form link analysis.
 
 The BER formulas need three ingredients beyond numpy: the complementary
-error function, the lower incomplete gamma function (for the uplink power
-moments), and the Gauss hypergeometric family 2F1(1, b; b+1; -x) with
-b in (0, 1) that shows up in every interference Laplace transform.  The
-fourth ingredient is a semi-infinite quadrature engine for integrands of
-the form g(z) * exp(-c z) / sqrt(z).
+error function, the lower incomplete gamma function gamma(2, x) (for the
+uplink power moment E[P_u^(2/eta)]), and the Gauss hypergeometric family
+2F1(1, b; b+1; -x) with b in (0, 1) that shows up in every interference
+Laplace transform.  The fourth ingredient is a semi-infinite quadrature
+engine for integrands of the form g(z) * exp(-c z) / sqrt(z).
 
 erfc is a bit-exact port of the Cephes code behind scipy's, so the Monte
-Carlo path loads no scipy.  scipy.special supplies the other two, and it is
-imported on first use, not with this module: it costs about 0.3 s, and an
-eta = 4 analysis never needs it.  The power moments only ever ask for
-gamma(2, x), which is elementary (``_lower_gamma_2``); every other order
-goes to scipy.
+Carlo path loads no scipy, and gamma(2, x) is elementary.  scipy.special
+supplies the 2F1 alone, and it is imported on first use, not with this
+module: it costs about 0.3 s, and an eta = 4 analysis never needs it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "erfc",
-    "lower_incomplete_gamma",
+    "lower_gamma_2",
     "hyp2f1_special",
     "adaptive_quad",
     "quad_intervals",
@@ -129,14 +127,15 @@ def erfc(x):
 _GAMMA2_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(18))
 
 
-def _lower_gamma_2(x: float) -> float:
-    """gamma(2, x) = 1 - (1 + x) e^-x, within 6e-14 relative of scipy.
+def lower_gamma_2(x: float) -> float:
+    """Lower incomplete gamma gamma(2, x) = 1 - (1 + x) e^-x for x >= 0.
 
-    The closed form cancels for small x (relative error ~ 2 eps / x), so
-    below 0.5 the Taylor series takes over.  At the reference point
-    c = 0.9424777960769379 the closed form is bit-equal to scipy's
-    gammainc(2, c).  Plain floats: the power moments call this once per
-    BER, where numpy's per-call overhead would cost more than scipy.
+    Not regularized, so gamma(2, inf) = Gamma(2) = 1; within 6e-14 relative
+    of scipy.  The closed form cancels for small x (relative error
+    ~ 2 eps / x), so below 0.5 the Taylor series takes over.  At the
+    reference point c = 0.9424777960769379 the closed form is bit-equal to
+    scipy's gammainc(2, c).  Plain floats: the power moment calls this once
+    per BER, where numpy's per-call overhead would cost more than scipy.
     """
     if x < 0.5:
         acc = 0.0
@@ -145,25 +144,6 @@ def _lower_gamma_2(x: float) -> float:
         return x * (x * acc)
     x = min(x, 1e3)   # 1.0 from x ~ 45 on; keeps inf * 0 out
     return -math.expm1(-x) - x * math.exp(-x)
-
-
-def lower_incomplete_gamma(s: float, x):
-    """Lower incomplete gamma gamma(s, x) = integral_0^x t^(s-1) e^(-t) dt.
-
-    Not regularized: lower_incomplete_gamma(s, inf) = Gamma(s).
-    """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    if s == 2.0:
-        out = np.array([_lower_gamma_2(v) for v in x.ravel().tolist()])
-        out = out.reshape(x.shape)
-    else:
-        from scipy.special import gamma, gammainc
-        out = gammainc(s, x) * gamma(s)
-    return float(out) if out.ndim == 0 else out
 
 
 def hyp2f1_special(b: float, x):
@@ -332,8 +312,7 @@ def quad_intervals(integrand: Callable, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                            decay_rate: float = 1.0):
+def integrate_semi_infinite(f: Callable, decay_rate: float = 1.0):
     """Integrate f over (0, inf) for integrands with an integrable 1/sqrt(z) singularity.
 
     ``f`` must be dominated by an envelope M * exp(-decay_rate * z) / sqrt(z)
@@ -349,10 +328,10 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATU
         raise ValueError("decay_rate must be positive")
     # After z = t^2 the tail of the envelope is ~ exp(-c t^2); cut where the
     # remaining mass is far below abs_tol.
-    z_max = (-math.log(spec.abs_tol) + 12.0) / decay_rate
+    z_max = (-math.log(DEFAULT_QUADRATURE.abs_tol) + 12.0) / decay_rate
     t_max = math.sqrt(z_max)
 
     def g(t):
         return 2.0 * t * f(t * t)
 
-    return adaptive_quad(g, 0.0, t_max, spec)
+    return adaptive_quad(g, 0.0, t_max)

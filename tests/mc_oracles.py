@@ -412,7 +412,7 @@ def ber_uplink_eta4_arctan(factors: InterferenceFactors,
     w1, w2 = p.omega(Direction.UPLINK)
     sigma_sq = p.sigma_n_sq
     b_const = (p.beta * p.p_b * factors.i_su_sq + sigma_sq) / p.rho
-    e_sqrt_pu = uplink_power_moment(0.5, p)
+    e_sqrt_pu = uplink_power_moment(p)
     cross = 0.5 * math.pi * math.sqrt(p.p_b * factors.i_du_sq)
     pi_lam = math.pi * p.lambda_per_m2
 
@@ -428,7 +428,7 @@ def ber_downlink_eta4_arctan(factors: InterferenceFactors,
     assert p.eta == 4.0
     w1, w2 = p.omega(Direction.DOWNLINK)
     sigma_sq = p.sigma_n_sq
-    e_sqrt_pu = uplink_power_moment(0.5, p)
+    e_sqrt_pu = uplink_power_moment(p)
     pi_lam = math.pi * p.lambda_per_m2
     ud_scale = math.sqrt(factors.i_ud_sq / p.p_b)
     ud_arg = math.sqrt(p.rho * factors.i_ud_sq / p.p_b)

@@ -35,7 +35,7 @@ from alphaduplex.pulse import (
     interference_factors,
     make_pulses,
 )
-from alphaduplex.specfun import hyp2f1_special, lower_incomplete_gamma
+from alphaduplex.specfun import hyp2f1_special, lower_gamma_2
 from alphaduplex.sweep import find_operating_points, sweep_alpha
 
 REF = SystemParams()
@@ -65,13 +65,13 @@ def report(name: str, ok: bool, detail: str, t0: float, budget_s: float) -> None
 def test_c1_special_functions():
     t0 = time.perf_counter()
     worst_gamma = 0.0
-    for s in (0.5, 1.0, 2.5):
-        for x in np.linspace(0.0, 50.0, 26):
-            # oracle: substitute t = u^2 to remove the endpoint singularity
-            oracle, _ = quad(lambda u: 2.0 * u ** (2.0 * s - 1.0)
-                             * math.exp(-u * u), 0.0, math.sqrt(x))
-            worst_gamma = max(worst_gamma,
-                              abs(lower_incomplete_gamma(s, x) - oracle))
+    # gamma(2, x), the one order the power moment uses; the small x take
+    # the series branch, which holds below 0.5
+    for x in [*np.linspace(0.0, 50.0, 26), 1e-6, 0.3, 0.49, 0.5]:
+        # oracle: gamma(2, x) = int_0^sqrt(x) 2 u^3 e^(-u^2) du (t = u^2)
+        oracle, _ = quad(lambda u: 2.0 * u ** 3 * math.exp(-u * u),
+                         0.0, math.sqrt(x))
+        worst_gamma = max(worst_gamma, abs(lower_gamma_2(x) - oracle))
     worst_hyp = 0.0
     for z in np.geomspace(1e-6, 100.0, 81):
         lhs = hyp2f1_special(0.5, z) * math.sqrt(z)

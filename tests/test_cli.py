@@ -322,7 +322,7 @@ class TestCommands:
         assert float(summary[0].split("=")[1]) <= 0.02
 
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
-        def fake_campaign(params, sim, alphas, pulses, factors=None):
+        def fake_campaign(params, sim, alphas, pulses):
             out = []
             for alpha in alphas:
                 for direction in (Direction.UPLINK, Direction.DOWNLINK):
@@ -528,8 +528,10 @@ class TestErrorHandling:
         "[params]\nomega1_d = 1.5\n",
         # half of 5e-324 Hz rounds to 0: the factors' lobe count divided by it
         "[params]\nb_u = 5e-324 Hz\nb_d = 5e-324 Hz\n",
+        # rho^(-2/eta), a factor of the UE-interference exponent, overflows
+        "[params]\np_u_max = 1e-300 W\nrho = 1e-310 W\neta = 2.0001\n",
     ], ids=["band_ratio_high", "band_ratio_low", "omega1_u", "omega1_d",
-            "half_band_zero"])
+            "half_band_zero", "rho_power_overflow"])
     def test_out_of_range_params_are_config_errors(self, tmp_path, capsys,
                                                    config):
         # a huge band ratio used to hang in the factor integrals, and
@@ -832,17 +834,20 @@ class TestErrorHandling:
         assert "balanced_alpha=" in (tmp_path / "summary.txt").read_text()
 
     def test_no_module_imports_scipy_optimize(self):
+        # nor anything else of scipy but the 2F1 and the k-d tree
+        found = set()
         for path in Path(cli.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module] + [f"{node.module}.{a.name}"
-                                             for a in node.names]
+                    names = [f"{node.module}.{a.name}" for a in node.names]
                 else:
                     continue
-                assert not any(n.startswith("scipy.optimize")
-                               for n in names), path.name
+                found.update((path.name, n) for n in names
+                             if n.split(".")[0] == "scipy")
+        assert found == {("specfun.py", "scipy.special.hyp2f1"),
+                         ("montecarlo.py", "scipy.spatial.cKDTree")}
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import alphaduplex.cli") == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mc_oracles import distance_pdf
 
-from alphaduplex import model
 from alphaduplex.model import (
     Direction,
     M_PER_KM,
@@ -158,6 +157,9 @@ class TestDistancePdf:
 
 
 class TestUplinkPowerMoment:
+    # E[P_u^(2/eta)], the one moment the closed forms use
+    ETAS = (2.5, 3.0, 4.0, 5.0)
+
     def test_monte_carlo_oracle_half_moment(self):
         # E[(rho R^eta)^0.5] by inverse-CDF sampling of the serving distance
         p = SystemParams()
@@ -171,43 +173,38 @@ class TestUplinkPowerMoment:
         samples = (p.rho * r_m ** p.eta) ** a
         mc_mean = samples.mean()
         mc_se = samples.std(ddof=1) / math.sqrt(n)
-        assert abs(uplink_power_moment(a, p) - mc_mean) < 3.0 * mc_se
+        assert abs(uplink_power_moment(p) - mc_mean) < 3.0 * mc_se
 
     def test_untruncated_limit(self):
-        # p_u_max -> inf: E[P_u^a] -> rho^a Gamma(a eta/2 + 1) / (pi lam)^(a eta/2)
-        from scipy.special import gamma as Gamma
-        p = SystemParams(p_u_max=1e30)
-        pi_lam = math.pi * p.lambda_per_m2
-        for a in [0.25, 0.5, 1.0]:
-            expected = p.rho ** a * Gamma(a * p.eta / 2.0 + 1.0) / pi_lam ** (
-                a * p.eta / 2.0)
-            assert uplink_power_moment(a, p) == pytest.approx(expected, rel=1e-9)
-
-    def test_zeroth_moment_limit(self):
-        assert uplink_power_moment(1e-12, SystemParams()) == pytest.approx(
-            1.0, abs=1e-6)
+        # p_u_max -> inf: E[P_u^(2/eta)] -> rho^(2/eta) Gamma(2) / (pi lam)
+        for eta in self.ETAS:
+            p = SystemParams(eta=eta, p_u_max=1e30)
+            expected = p.rho ** (2.0 / eta) / (math.pi * p.lambda_per_m2)
+            assert uplink_power_moment(p) == pytest.approx(expected, rel=1e-9)
 
     def test_consistency_with_distance_pdf(self):
-        # E[P_u^a] must equal int (rho r^eta)^a f_R(r) dr with r in meters
-        p = SystemParams()
-        a = 0.7
-        r_max_km = max_inversion_radius_m(p) / M_PER_KM
+        # E[P_u^(2/eta)] must equal int (rho r^eta)^(2/eta) f_R(r) dr with r
+        # in meters
+        for eta in self.ETAS:
+            p = SystemParams(eta=eta)
+            r_max_km = max_inversion_radius_m(p) / M_PER_KM
 
-        def integrand(r_km):
-            power = p.rho * (M_PER_KM * r_km) ** p.eta
-            return power ** a * distance_pdf(r_km, p)
+            def integrand(r_km):
+                power = p.rho * (M_PER_KM * r_km) ** p.eta
+                return power ** (2.0 / p.eta) * distance_pdf(r_km, p)
 
-        by_quadrature = adaptive_quad(integrand, 0.0, r_max_km)
-        assert uplink_power_moment(a, p) == pytest.approx(by_quadrature, rel=1e-9)
+            by_quadrature = adaptive_quad(integrand, 0.0, r_max_km)
+            assert uplink_power_moment(p) == pytest.approx(by_quadrature,
+                                                           rel=1e-9)
 
-    @given(st.floats(min_value=0.1, max_value=2.0),
+    @given(st.floats(min_value=2.5, max_value=6.0),
            st.floats(min_value=0.1, max_value=2.0))
     @settings(max_examples=30, deadline=None)
-    def test_monotone_in_rho(self, a, scale):
-        # raising the power-control target raises every moment
-        lo = SystemParams(rho=1e-10 * scale)
-        hi = SystemParams(rho=2e-10 * scale)
-        assert uplink_power_moment(a, hi) > uplink_power_moment(a, lo)
+    def test_monotone_in_rho(self, eta, scale):
+        # raising the power-control target raises the moment
+        lo = SystemParams(eta=eta, rho=1e-10 * scale)
+        hi = SystemParams(eta=eta, rho=2e-10 * scale)
+        assert uplink_power_moment(hi) > uplink_power_moment(lo)
 
     @given(st.floats(min_value=2.0, max_value=1000.0, exclude_min=True))
     @example(math.nextafter(2.0, 3.0))
@@ -215,23 +212,13 @@ class TestUplinkPowerMoment:
     @example(1000.0)
     @settings(max_examples=200, deadline=None)
     def test_fractional_moment_takes_the_elementary_branch(self, eta):
-        # the closed forms ask E[P_u^(2/eta)]; its gamma order a eta/2 + 1
-        # rounds to 2.0 exactly, so gamma(2, x) is evaluated in elementary
-        # terms at every eta and scipy's branch is never reached
-        orders = []
-        real = model.lower_incomplete_gamma
-
-        def recorded(s, x):
-            orders.append(s)
-            return real(s, x)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "lower_incomplete_gamma", recorded)
-            uplink_power_moment(2.0 / eta, SystemParams(eta=eta))
-        assert orders == [2.0]
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            uplink_power_moment(0.0, SystemParams())
-        with pytest.raises(ValueError):
-            uplink_power_moment(-0.5, SystemParams())
+        # the closed forms ask E[P_u^(2/eta)], whose gamma order
+        # (2/eta) eta/2 + 1 is 2 at every eta: the elementary gamma(2, c)
+        # must match scipy's
+        from scipy.special import gammainc
+        p = SystemParams(eta=eta)
+        pi_lam = math.pi * p.lambda_per_m2
+        c = pi_lam * (p.p_u_max / p.rho) ** (2.0 / eta)
+        expected = (p.rho ** (2.0 / eta) * gammainc(2.0, c)
+                    / (pi_lam * -math.expm1(-c)))
+        assert uplink_power_moment(p) == pytest.approx(expected, rel=1e-13)
