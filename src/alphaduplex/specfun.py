@@ -134,7 +134,7 @@ def lower_gamma_2(x: float) -> float:
     of scipy.  The closed form cancels for small x (relative error
     ~ 2 eps / x), so below 0.5 the Taylor series takes over.  At the
     reference point c = 0.9424777960769379 the closed form is bit-equal to
-    scipy's gammainc(2, c).  Plain floats: the power moment calls this once
+    scipy's value.  Plain floats: the power moment calls this once
     per BER, where numpy's per-call overhead would cost more than scipy.
     """
     if x < 0.5:
