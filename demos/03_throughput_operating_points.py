@@ -29,10 +29,10 @@ for alpha, t_ul, t_dl, _, _ in sr.table()[::10]:
     print(f"{alpha:6.2f} {t_ul / 1e6:12.4f} {t_dl / 1e6:12.4f}")
 
 print()
-print(f"balanced point:   alpha = {points.balanced_alpha:.4f} "
-      f"(t_ul = t_dl = {points.balanced.ul / 1e6:.4f} Mb/s)")
-print(f"unbalanced point: alpha = {points.unbalanced_alpha:.4f} "
-      f"(t_dl = {points.unbalanced.dl / 1e6:.4f} Mb/s, "
+print(f"balanced point:   alpha = {points.balanced.alpha:.4f} "
+      f"(t_ul = t_dl = {points.balanced.t_ul / 1e6:.4f} Mb/s)")
+print(f"unbalanced point: alpha = {points.unbalanced.alpha:.4f} "
+      f"(t_dl = {points.unbalanced.t_dl / 1e6:.4f} Mb/s, "
       f"uplink no worse than half duplex)")
 for crossing in points.crossings:
     print(f"  crossing at alpha = {crossing.alpha:.6f}, "
@@ -53,10 +53,10 @@ else:
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(table[:, 0], table[:, 1] / 1e6, label="uplink")
     ax.plot(table[:, 0], table[:, 2] / 1e6, label="downlink")
-    ax.axvline(points.balanced_alpha, color="k", ls=":",
-               label=f"balanced ({points.balanced_alpha:.3f})")
-    ax.axvline(points.unbalanced_alpha, color="gray", ls="--",
-               label=f"unbalanced ({points.unbalanced_alpha:.2f})")
+    ax.axvline(points.balanced.alpha, color="k", ls=":",
+               label=f"balanced ({points.balanced.alpha:.3f})")
+    ax.axvline(points.unbalanced.alpha, color="gray", ls="--",
+               label=f"unbalanced ({points.unbalanced.alpha:.2f})")
     ax.set_xlabel("overlap fraction alpha")
     ax.set_ylabel("throughput [Mb/s]")
     ax.legend(fontsize=8)

@@ -460,9 +460,6 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
     alphas = [float(a) for a in alpha_list]
     if not alphas:
         raise ValueError("alpha_list must be nonempty")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
     factors = interference_factor_grid(p.b_u, p.b_d, pulses, alphas)
 
     parts = []

@@ -40,7 +40,6 @@ __all__ = [
     "InterferenceFactors",
     "link_throughput",
     "carrier_offset",
-    "spectrum",
     "make_pulses",
     "interference_factors",
     "interference_factor_grid",
@@ -168,21 +167,6 @@ def _sinc_power(peak, band, squared, f):
     # f / (band / 2), not 2 f / band: 2 f overflows for bands near 1e308
     base = np.sinc(f / (0.5 * band))
     return peak * np.where(squared, base * base, base)
-
-
-def spectrum(pulse: PulseShape, f):
-    """Pulse spectrum S(f), real-valued and even; scalar or ndarray ``f``.
-
-    Rectangular time pulses give a sinc, triangular give a sinc^2, both
-    scaled so the first nulls sit at +-allocated_band/2 and the in-band
-    energy is 1.
-    """
-    f_arr = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f_arr)):
-        raise ValueError("f must be finite")
-    out = _sinc_power(_peak(pulse), pulse.allocated_band,
-                      pulse.kind is PulseKind.TRIANGULAR, f_arr)
-    return float(out) if out.ndim == 0 else out
 
 
 def make_pulses(pair: PulsePair, plan: BandPlan) -> tuple[PulseShape, PulseShape]:

@@ -29,8 +29,7 @@ from .pulse import (BandPlan, InterferenceFactors, PulsePair,
 __all__ = [
     "NoCrossingError",
     "RefinementStallError",
-    "ThroughputPair",
-    "Crossing",
+    "ThroughputPoint",
     "SweepResult",
     "OperatingPoints",
     "sweep_alpha",
@@ -58,24 +57,24 @@ class RefinementStallError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ThroughputPair:
-    """Uplink/downlink throughput (or throughput deltas) at one point."""
-
-    ul: float
-    dl: float
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """One balanced crossing: equal-throughput overlap fraction."""
+class ThroughputPoint:
+    """Uplink and downlink throughput at one overlap fraction."""
 
     alpha: float
     t_ul: float
     t_dl: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+
     @property
     def total(self) -> float:
         return self.t_ul + self.t_dl
+
+    def gain_over(self, base: ThroughputPoint) -> tuple[float, float]:
+        """Percent throughput gain over ``base``, (uplink, downlink)."""
+        return _pct(self.t_ul, base.t_ul), _pct(self.t_dl, base.t_dl)
 
 
 @dataclass(frozen=True)
@@ -126,58 +125,41 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class OperatingPoints:
-    """Balanced and unbalanced operating points with their throughputs.
+    """The operating points of a sweep, each a ThroughputPoint.
 
-    ``crossings`` lists every balanced crossing found; ``balanced_alpha``
-    is the one with the largest total throughput (ties going to the larger
-    overlap fraction).  ``unbalanced_alpha`` maximizes downlink throughput
-    over the sweep grid subject to no uplink loss relative to zero overlap.
-    The deltas compare full overlap and the balanced point against zero
-    overlap, in percent per direction.
+    ``half_duplex`` and ``full_duplex`` sit at zero and full overlap.
+    ``crossings`` lists every balanced crossing found, ascending;
+    ``balanced`` is the one with the largest total throughput (ties going
+    to the larger overlap fraction).  ``unbalanced`` maximizes downlink
+    throughput over the sweep grid subject to no uplink loss relative to
+    half duplex.
     """
 
-    balanced_alpha: float
-    unbalanced_alpha: float
-    hd_baseline: ThroughputPair
-    fd_point: ThroughputPair
-    balanced: ThroughputPair
-    unbalanced: ThroughputPair
-    crossings: tuple[Crossing, ...]
+    half_duplex: ThroughputPoint
+    full_duplex: ThroughputPoint
+    balanced: ThroughputPoint
+    unbalanced: ThroughputPoint
+    crossings: tuple[ThroughputPoint, ...]
 
     def __post_init__(self) -> None:
-        for name in ("balanced_alpha", "unbalanced_alpha"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if not self.crossings:
             raise ValueError("crossings must be nonempty")
 
-    @property
-    def fd_delta(self) -> ThroughputPair:
-        hd, fd = self.hd_baseline, self.fd_point
-        return ThroughputPair(ul=_pct(fd.ul, hd.ul), dl=_pct(fd.dl, hd.dl))
-
-    @property
-    def balanced_delta(self) -> ThroughputPair:
-        hd, bal = self.hd_baseline, self.balanced
-        return ThroughputPair(ul=_pct(bal.ul, hd.ul), dl=_pct(bal.dl, hd.dl))
-
     def lines(self) -> tuple[str, ...]:
         """Line-oriented key=value rendering, as written to summary.txt."""
-        fd_delta, balanced_delta = self.fd_delta, self.balanced_delta
+        hd, fd, bal = self.half_duplex, self.full_duplex, self.balanced
         items = [
-            ("balanced_alpha", self.balanced_alpha),
-            ("unbalanced_alpha", self.unbalanced_alpha),
-            ("hd_ul_bps", self.hd_baseline.ul),
-            ("hd_dl_bps", self.hd_baseline.dl),
-            ("fd_ul_bps", self.fd_point.ul),
-            ("fd_dl_bps", self.fd_point.dl),
-            ("balanced_ul_bps", self.balanced.ul),
-            ("balanced_dl_bps", self.balanced.dl),
-            ("fd_delta_ul_pct", fd_delta.ul),
-            ("fd_delta_dl_pct", fd_delta.dl),
-            ("balanced_delta_ul_pct", balanced_delta.ul),
-            ("balanced_delta_dl_pct", balanced_delta.dl),
+            ("balanced_alpha", bal.alpha),
+            ("unbalanced_alpha", self.unbalanced.alpha),
+            ("hd_ul_bps", hd.t_ul),
+            ("hd_dl_bps", hd.t_dl),
+            ("fd_ul_bps", fd.t_ul),
+            ("fd_dl_bps", fd.t_dl),
+            ("balanced_ul_bps", bal.t_ul),
+            ("balanced_dl_bps", bal.t_dl),
+            *zip(("fd_delta_ul_pct", "fd_delta_dl_pct"), fd.gain_over(hd)),
+            *zip(("balanced_delta_ul_pct", "balanced_delta_dl_pct"),
+                 bal.gain_over(hd)),
         ]
         items += [(f"crossing_{i}_alpha", c.alpha)
                   for i, c in enumerate(self.crossings, start=1)]
@@ -231,6 +213,10 @@ class _CachedCurves:
         if alpha not in self._cache:
             self._cache[alpha] = self._sr.evaluate(alpha)
         return self._cache[alpha]
+
+    def at(self, alpha: float) -> ThroughputPoint:
+        ul, dl = self.point(alpha)
+        return ThroughputPoint(float(alpha), ul.throughput, dl.throughput)
 
     def gap(self, alpha: float) -> float:
         ul, dl = self.point(alpha)
@@ -360,7 +346,7 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
 
 
 def _balanced_crossings(curves: _CachedCurves,
-                        alphas: tuple[float, ...]) -> list[Crossing]:
+                        alphas: tuple[float, ...]) -> list[ThroughputPoint]:
     roots, brackets = _scan(curves, alphas)
     if not roots and not brackets:
         # near-touches hide between grid points; densify around each local
@@ -377,9 +363,7 @@ def _balanced_crossings(curves: _CachedCurves,
                 f"tolerance near alpha = {root:.12g}")
         roots.append(root)
     roots.sort()
-    return [Crossing(alpha=r, t_ul=curves.point(r)[0].throughput,
-                     t_dl=curves.point(r)[1].throughput)
-            for r in _dedupe(roots)]
+    return [curves.at(r) for r in _dedupe(roots)]
 
 
 def _dedupe(sorted_roots: list[float]) -> list[float]:
@@ -408,31 +392,18 @@ def find_operating_points(sr: SweepResult) -> OperatingPoints:
     iterations or a polished root misses that tolerance.
     """
     curves = _CachedCurves(sr)
-    alphas = sr.alphas
-
-    crossings = _balanced_crossings(curves, alphas)
+    crossings = _balanced_crossings(curves, sr.alphas)
     if not crossings:
         raise NoCrossingError("uplink and downlink throughput do not cross "
                               "on the swept overlap range")
-    best = max(crossings, key=lambda c: (c.total, c.alpha))
-
-    hd_ul, hd_dl = curves.point(0.0)
-    fd_ul, fd_dl = curves.point(1.0)
-    t_ul0 = hd_ul.throughput
-    feasible = [(alpha, ul, dl) for alpha, ul, dl in sr.rows
-                if ul.throughput >= t_ul0 * (1.0 - 1e-9)]
-    if feasible:
-        ub_alpha, ub_ul, ub_dl = max(feasible,
-                                     key=lambda r: (r[2].throughput, r[0]))
-    else:
-        ub_alpha, (ub_ul, ub_dl) = 0.0, curves.point(0.0)
-
+    half_duplex = curves.at(0.0)
+    feasible = [pt for pt in map(curves.at, sr.alphas)
+                if pt.t_ul >= half_duplex.t_ul * (1.0 - 1e-9)]
     return OperatingPoints(
-        balanced_alpha=best.alpha,
-        unbalanced_alpha=ub_alpha,
-        hd_baseline=ThroughputPair(ul=t_ul0, dl=hd_dl.throughput),
-        fd_point=ThroughputPair(ul=fd_ul.throughput, dl=fd_dl.throughput),
-        balanced=ThroughputPair(ul=best.t_ul, dl=best.t_dl),
-        unbalanced=ThroughputPair(ul=ub_ul.throughput, dl=ub_dl.throughput),
+        half_duplex=half_duplex,
+        full_duplex=curves.at(1.0),
+        balanced=max(crossings, key=lambda c: (c.total, c.alpha)),
+        unbalanced=max(feasible, key=lambda pt: (pt.t_dl, pt.alpha),
+                       default=half_duplex),
         crossings=tuple(crossings),
     )

@@ -32,6 +32,8 @@ in-place arithmetic.
 The interference factors have a bit-exact oracle: each lobe between the
 spectral nulls integrated on its own by ``adaptive_quad``, as the package
 did before it batched the lobes of many alphas into shared seed passes.
+Its integrand is ``spectrum``, one pulse's S(f) from the package's
+normalization constant and sinc power.
 
 ``distance_pdf``, the serving-distance density written out per km, is the
 oracle for the mass of that law and for the power moments taken over it.
@@ -52,7 +54,8 @@ from alphaduplex.model import (
 )
 from alphaduplex import montecarlo
 from alphaduplex.montecarlo import NetworkRealization, StarvationError
-from alphaduplex.pulse import InterferenceFactors, spectrum
+from alphaduplex import pulse
+from alphaduplex.pulse import InterferenceFactors, PulseKind, PulseShape
 from alphaduplex.specfun import QuadratureSpec, adaptive_quad, integrate_semi_infinite
 
 DISK_RADIUS_M = 10_000.0
@@ -567,6 +570,21 @@ def link_parts_out_of_place(rx_pos, tagged, real, p: SystemParams, rng):
     tx = compact(np.broadcast_to(real.tx_power, (k, n)))
     ue_terms = tx * g[:, n:] * dist_m(real.ue_positions) ** -p.eta
     return g[:, 0].copy(), p.p_b * np.sum(bs_terms, axis=1), np.sum(ue_terms, axis=1)
+
+
+def spectrum(shape: PulseShape, f):
+    """Pulse spectrum S(f), real-valued and even; scalar or ndarray ``f``.
+
+    Rectangular time pulses give a sinc, triangular give a sinc^2, both
+    scaled so the first nulls sit at +-allocated_band/2 and the in-band
+    energy is 1.
+    """
+    f_arr = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f_arr)):
+        raise ValueError("f must be finite")
+    out = pulse._sinc_power(pulse._peak(shape), shape.allocated_band,
+                            shape.kind is PulseKind.TRIANGULAR, f_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def factor_per_lobe(victim: Direction, plan, pulse_u, pulse_d,

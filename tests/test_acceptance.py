@@ -161,18 +161,18 @@ def operating_points():
 def test_c6_balanced_operating_point(operating_points):
     t0 = time.perf_counter()
     _, pts = operating_points
-    ok = 0.20 <= pts.balanced_alpha <= 0.35
+    ok = 0.20 <= pts.balanced.alpha <= 0.35
     report("C6 balanced operating point", ok,
-           f"balanced alpha = {pts.balanced_alpha:.4f}", t0, 120.0)
+           f"balanced alpha = {pts.balanced.alpha:.4f}", t0, 120.0)
 
 
 def test_c7_directional_throughput_claims(operating_points):
     t0 = time.perf_counter()
     _, pts = operating_points
-    ok = (pts.fd_point.dl > pts.hd_baseline.dl
-          and pts.fd_point.ul < pts.hd_baseline.ul
-          and pts.balanced.ul >= pts.hd_baseline.ul
-          and pts.balanced.dl >= pts.hd_baseline.dl)
+    ok = (pts.full_duplex.t_dl > pts.half_duplex.t_dl
+          and pts.full_duplex.t_ul < pts.half_duplex.t_ul
+          and pts.balanced.t_ul >= pts.half_duplex.t_ul
+          and pts.balanced.t_dl >= pts.half_duplex.t_dl)
     report("C7 directional throughput claims", ok,
            "full overlap: dl up, ul down; balanced >= baseline both ways",
            t0, 120.0)
@@ -251,7 +251,7 @@ def test_c8_property_suite():
     sr = sweep_alpha(REF, RT_PAIR, np.linspace(0.0, 1.0, 21))
     ok &= all(b > a for a, b in zip(sr.alphas, sr.alphas[1:]))
     pts = find_operating_points(sr)
-    ul, dl = sr.evaluate(pts.balanced_alpha)
+    ul, dl = sr.evaluate(pts.balanced.alpha)
     ok &= abs(ul.throughput - dl.throughput) <= 1e-9 * max(ul.throughput,
                                                            dl.throughput)
     notes.append("sweep")

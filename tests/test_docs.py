@@ -1,11 +1,11 @@
 """The demos and the README's Python blocks import only names that exist,
-the README's configuration example parses and lists every key, and every
-module's __all__ names attributes the module defines and something outside
-the tests uses.
+the README's Python blocks run, the README's configuration example parses
+and lists every key, and every module's __all__ names attributes the module
+defines and code outside the tests uses.
 
-Each source is parsed, not run, so the check is fast and needs neither
-matplotlib nor a simulation: every ``from alphaduplex.<mod> import <names>``
-must name a module the package has and attributes that module defines.
+The demos are parsed, not run, so the check needs no matplotlib: every
+``from alphaduplex.<mod> import <names>`` must name a module the package
+has and attributes that module defines.
 """
 
 import ast
@@ -28,16 +28,11 @@ PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 INI_BLOCK = re.compile(r"^```ini\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
-def _sources():
-    sources = [(f"demos/{demo.name}", demo.read_text())
-               for demo in sorted((ROOT / "demos").glob("*.py"))]
-    readme = (ROOT / "README.md").read_text()
-    sources += [(f"README.md python block {i}", block)
-                for i, block in enumerate(PYTHON_BLOCK.findall(readme))]
-    return sources
-
-
-SOURCES = _sources()
+README_BLOCKS = [(f"README.md python block {i}", block) for i, block in
+                 enumerate(PYTHON_BLOCK.findall((ROOT / "README.md").read_text()))]
+DEMOS = [(f"demos/{demo.name}", demo.read_text())
+         for demo in sorted((ROOT / "demos").glob("*.py"))]
+SOURCES = DEMOS + README_BLOCKS
 
 
 def test_sources_found():
@@ -56,6 +51,12 @@ def test_package_imports_resolve(name, source):
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, (f"{name}, line {node.lineno}: {node.module} "
                              f"has no {', '.join(missing)}")
+
+
+@pytest.mark.parametrize("name,source", README_BLOCKS,
+                         ids=[n for n, _ in README_BLOCKS])
+def test_readme_python_block_runs(name, source):
+    exec(compile(source, name, "exec"), {"__name__": "__readme__"})
 
 
 def test_readme_config_example_is_the_reference_scenario():
@@ -95,23 +96,26 @@ def test_all_names_are_defined(name):
 
 
 def _names_used_outside_tests():
-    """The names src/ uses (its def/class names and __all__ strings are not
-    uses), and every word of the demos, README, OUTPUT_SCHEMA and perfbench/."""
+    """The identifiers that code outside the tests uses: every name,
+    attribute and imported name in src/, the demos, the README's Python
+    blocks and perfbench/*.py (def/class names and __all__ strings are not
+    uses), and every word of perfbench/*.py's string literals, where the
+    bench names the functions it wraps."""
+    paths = [*(ROOT / "src" / "alphaduplex").glob("*.py"),
+             *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    sources = [(str(path), path.read_text()) for path in paths] + README_BLOCKS
     used = set()
-    for path in (ROOT / "src" / "alphaduplex").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, source in sources:
+        for node in ast.walk(ast.parse(source, filename=name)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    texts = [ROOT / "README.md", ROOT / "OUTPUT_SCHEMA.md",
-             *(ROOT / "demos").glob("*.py"),
-             *(ROOT / "perfbench").rglob("*.py"),
-             *(ROOT / "perfbench").rglob("*.md")]
-    for path in texts:
-        used.update(re.findall(r"\w+", path.read_text()))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and name.startswith(str(ROOT / "perfbench"))):
+                used.update(re.findall(r"\w+", node.value))
     return used
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mc_oracles import factor_per_lobe, factors_per_lobe
+from mc_oracles import factor_per_lobe, factors_per_lobe, spectrum
 
 from alphaduplex import pulse, specfun
 from alphaduplex.model import Direction
@@ -21,7 +21,6 @@ from alphaduplex.pulse import (
     interference_factor_grid,
     interference_factors,
     make_pulses,
-    spectrum,
 )
 from alphaduplex.specfun import QuadratureSpec, adaptive_quad
 

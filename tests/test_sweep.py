@@ -19,12 +19,11 @@ from alphaduplex.pulse import (
     make_pulses,
 )
 from alphaduplex.sweep import (
-    Crossing,
     NoCrossingError,
     OperatingPoints,
     RefinementStallError,
     SweepResult,
-    ThroughputPair,
+    ThroughputPoint,
     find_operating_points,
     sweep_alpha,
     _brent,
@@ -129,8 +128,8 @@ class TestSweepAlpha:
 
 class TestOperatingPoints:
     def test_balanced_point_location(self, sr101, pts101):
-        assert 0.20 <= pts101.balanced_alpha <= 0.35
-        ul, dl = sr101.evaluate(pts101.balanced_alpha)
+        assert 0.20 <= pts101.balanced.alpha <= 0.35
+        ul, dl = sr101.evaluate(pts101.balanced.alpha)
         assert abs(ul.throughput - dl.throughput) <= 1e-9 * max(
             ul.throughput, dl.throughput)
 
@@ -139,8 +138,7 @@ class TestOperatingPoints:
         alphas = [c.alpha for c in pts101.crossings]
         assert alphas == sorted(alphas)
         best = max(pts101.crossings, key=lambda c: (c.total, c.alpha))
-        assert pts101.balanced_alpha == best.alpha
-        assert pts101.balanced == ThroughputPair(ul=best.t_ul, dl=best.t_dl)
+        assert pts101.balanced == best
 
     def test_narrow_sliver_resolved_from_coarse_grid(self):
         # the crossings sit in a window a few 1e-3 wide; a 0.05-step grid
@@ -150,7 +148,7 @@ class TestOperatingPoints:
         gaps = [abs(ul.throughput - dl.throughput)
                 for _, ul, dl in sr.rows]
         assert min(gaps) > 1e3   # no grid point anywhere near balance
-        assert 0.20 <= pts.balanced_alpha <= 0.35
+        assert 0.20 <= pts.balanced.alpha <= 0.35
         assert len(pts.crossings) == 2
 
     def test_reference_sweep_frozen_values(self, pts101):
@@ -158,20 +156,20 @@ class TestOperatingPoints:
         # reference config, frozen at 12 significant digits
         assert [c.alpha for c in pts101.crossings] == pytest.approx(
             [0.276410101018, 0.278950080765], abs=1e-8)
-        assert pts101.hd_baseline.ul == pytest.approx(776058.725091, rel=1e-8)
-        assert pts101.hd_baseline.dl == pytest.approx(879081.531941, rel=1e-8)
-        assert pts101.fd_point.ul == pytest.approx(84208.2624115, rel=1e-8)
-        assert pts101.fd_point.dl == pytest.approx(1378393.44771, rel=1e-8)
+        assert pts101.half_duplex.t_ul == pytest.approx(776058.725091, rel=1e-8)
+        assert pts101.half_duplex.t_dl == pytest.approx(879081.531941, rel=1e-8)
+        assert pts101.full_duplex.t_ul == pytest.approx(84208.2624115, rel=1e-8)
+        assert pts101.full_duplex.t_dl == pytest.approx(1378393.44771, rel=1e-8)
 
     def test_unbalanced_point(self, sr101, pts101):
-        t_ul0 = pts101.hd_baseline.ul
+        t_ul0 = pts101.half_duplex.t_ul
         slack = t_ul0 * (1.0 - 1e-9)
-        assert pts101.unbalanced.ul >= slack
+        assert pts101.unbalanced.t_ul >= slack
         feasible = [(alpha, dl.throughput) for alpha, ul, dl in sr101.rows
                     if ul.throughput >= slack]
-        assert pts101.unbalanced.dl >= max(t for _, t in feasible)
-        assert pts101.unbalanced_alpha in {a for a, _ in feasible}
-        assert 0.2 <= pts101.unbalanced_alpha <= 0.4
+        assert pts101.unbalanced.t_dl >= max(t for _, t in feasible)
+        assert pts101.unbalanced.alpha in {a for a, _ in feasible}
+        assert 0.2 <= pts101.unbalanced.alpha <= 0.4
 
     def test_endpoints_evaluated_off_grid(self):
         # grid omits 0 and 1; baseline and full-overlap fields still filled
@@ -179,8 +177,10 @@ class TestOperatingPoints:
         pts = find_operating_points(sr)
         ul0, dl0 = sr.evaluate(0.0)
         ul1, dl1 = sr.evaluate(1.0)
-        assert pts.hd_baseline == ThroughputPair(ul0.throughput, dl0.throughput)
-        assert pts.fd_point == ThroughputPair(ul1.throughput, dl1.throughput)
+        assert pts.half_duplex == ThroughputPoint(0.0, ul0.throughput,
+                                                  dl0.throughput)
+        assert pts.full_duplex == ThroughputPoint(1.0, ul1.throughput,
+                                                  dl1.throughput)
 
     def test_no_crossing_raises(self, monkeypatch):
         pin_zero_factors(monkeypatch)
@@ -205,27 +205,26 @@ class TestOperatingPoints:
         monkeypatch.setattr(sweep, "_REFINE_TOL", 1e-6)
         sr = sweep_alpha(p_sym, RT_PAIR, np.linspace(0.0, 1.0, 11))
         pts = find_operating_points(sr)
-        assert pts.balanced_alpha == 1.0
+        assert pts.balanced.alpha == 1.0
         assert len(pts.crossings) == 1
 
     def test_record_validation(self):
-        tp = ThroughputPair(1.0, 1.0)
         with pytest.raises(ValueError):
-            OperatingPoints(balanced_alpha=1.2, unbalanced_alpha=0.0,
-                            hd_baseline=tp, fd_point=tp, balanced=tp,
-                            unbalanced=tp, crossings=(Crossing(0.5, 1.0, 1.0),))
+            ThroughputPoint(1.2, 1.0, 1.0)
+        tp = ThroughputPoint(0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            OperatingPoints(balanced_alpha=0.5, unbalanced_alpha=0.0,
-                            hd_baseline=tp, fd_point=tp, balanced=tp,
+            OperatingPoints(half_duplex=tp, full_duplex=tp, balanced=tp,
                             unbalanced=tp, crossings=())
 
 
 class TestComparison:
     def test_duplex_tradeoff_signs(self, pts101):
-        assert pts101.fd_delta.dl > 0.0
-        assert pts101.fd_delta.ul < 0.0
-        assert pts101.balanced_delta.ul > 0.0
-        assert pts101.balanced_delta.dl > 0.0
+        fd_ul, fd_dl = pts101.full_duplex.gain_over(pts101.half_duplex)
+        bal_ul, bal_dl = pts101.balanced.gain_over(pts101.half_duplex)
+        assert fd_dl > 0.0
+        assert fd_ul < 0.0
+        assert bal_ul > 0.0
+        assert bal_dl > 0.0
 
     def test_pure_bandwidth_deltas_with_zero_factors(self, monkeypatch):
         # cross factors pinned to zero and no residual loop interference:
@@ -236,31 +235,20 @@ class TestComparison:
         rows = {alpha: (ul, dl) for alpha, ul, dl in sr.rows}
         assert rows[0.0][0].ber == rows[1.0][0].ber
         assert rows[0.0][1].ber == rows[1.0][1].ber
-        mid = rows[0.5]
-        pts = OperatingPoints(
-            balanced_alpha=0.5, unbalanced_alpha=0.5,
-            hd_baseline=ThroughputPair(rows[0.0][0].throughput,
-                                       rows[0.0][1].throughput),
-            fd_point=ThroughputPair(rows[1.0][0].throughput,
-                                    rows[1.0][1].throughput),
-            balanced=ThroughputPair(mid[0].throughput, mid[1].throughput),
-            unbalanced=ThroughputPair(mid[0].throughput, mid[1].throughput),
-            crossings=(Crossing(0.5, mid[0].throughput, mid[1].throughput),))
-        assert pts.fd_delta.ul == pytest.approx(100.0 * 1e6 / 2e6, rel=1e-12)
-        assert pts.fd_delta.dl == pytest.approx(100.0 * 1e6 / 1e6, rel=1e-12)
-        assert pts.balanced_delta.ul == pytest.approx(25.0, rel=1e-12)
-        assert pts.balanced_delta.dl == pytest.approx(50.0, rel=1e-12)
+        hd, mid, fd = (ThroughputPoint(a, ul.throughput, dl.throughput)
+                       for a, (ul, dl) in rows.items())
+        fd_ul, fd_dl = fd.gain_over(hd)
+        assert fd_ul == pytest.approx(100.0 * 1e6 / 2e6, rel=1e-12)
+        assert fd_dl == pytest.approx(100.0 * 1e6 / 1e6, rel=1e-12)
+        mid_ul, mid_dl = mid.gain_over(hd)
+        assert mid_ul == pytest.approx(25.0, rel=1e-12)
+        assert mid_dl == pytest.approx(50.0, rel=1e-12)
 
     def test_identical_points_give_zero_deltas(self):
         sr = sweep_alpha(REF, RT_PAIR, [0.0])
         _, ul, dl = sr.rows[0]
-        hd = ThroughputPair(ul.throughput, dl.throughput)
-        pts = OperatingPoints(balanced_alpha=0.0, unbalanced_alpha=0.0,
-                              hd_baseline=hd, fd_point=hd, balanced=hd,
-                              unbalanced=hd,
-                              crossings=(Crossing(0.0, hd.ul, hd.dl),))
-        assert pts.fd_delta == ThroughputPair(0.0, 0.0)
-        assert pts.balanced_delta == ThroughputPair(0.0, 0.0)
+        hd = ThroughputPoint(0.0, ul.throughput, dl.throughput)
+        assert hd.gain_over(hd) == (0.0, 0.0)
 
     def test_key_value_lines(self, pts101):
         lines = pts101.lines()
@@ -276,7 +264,12 @@ class TestComparison:
         for ln in lines:
             float(ln.split("=", 1)[1])
         assert float(lines[0].split("=", 1)[1]) == pytest.approx(
-            pts101.balanced_alpha, rel=1e-11)
+            pts101.balanced.alpha, rel=1e-11)
+        hd = pts101.half_duplex
+        gains = (*pts101.full_duplex.gain_over(hd),
+                 *pts101.balanced.gain_over(hd))
+        assert lines[8:12] == tuple(f"{k}={g:.12g}"
+                                    for k, g in zip(keys[8:12], gains))
         assert lines[-2:] == tuple(f"crossing_{i}_alpha={c.alpha:.12g}" for i, c
                                    in enumerate(pts101.crossings, start=1))
 
