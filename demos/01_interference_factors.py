@@ -14,7 +14,7 @@ rectangular pulse's slow spectral decay hurts its neighbors more.
 import numpy as np
 
 from alphaduplex.model import SystemParams
-from alphaduplex.pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
+from alphaduplex.pulse import PulseKind, PulsePair, interference_factor_grid
 
 p = SystemParams()
 alphas = np.linspace(0.0, 1.0, 41)
@@ -30,13 +30,9 @@ pairings = {
 
 curves = {}
 for label, pair in pairings.items():
-    du, ud = [], []
-    for alpha in alphas:
-        plan = BandPlan(p.b_u, p.b_d, alpha)
-        fac = interference_factors(plan, *make_pulses(pair, plan))
-        du.append(fac.i_du_sq)
-        ud.append(fac.i_ud_sq)
-    curves[label] = (np.array(du), np.array(ud))
+    grid = interference_factor_grid(p.b_u, p.b_d, pair, alphas)
+    curves[label] = (np.array([fac.i_du_sq for fac in grid]),
+                     np.array([fac.i_ud_sq for fac in grid]))
 
 print(f"{'alpha':>6s}", end="")
 for label in pairings:

@@ -14,10 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import SimConfig, run_campaign
-from alphaduplex.pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
+from alphaduplex.pulse import PulseKind, PulsePair
+from alphaduplex.sweep import sweep_alpha
 
 pair = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
 betas = {"no self-interference": 0.0, "-80 dB residual": 1e-8}
@@ -30,14 +30,10 @@ analytic = {}
 empirical = {}
 for label, beta in betas.items():
     p = dataclasses.replace(SystemParams(), beta=beta)
-
-    def factors(alpha):
-        plan = BandPlan(p.b_u, p.b_d, alpha)
-        return interference_factors(plan, *make_pulses(pair, plan))
-
+    sr = sweep_alpha(p, pair, fine)
     analytic[label] = {
-        Direction.UPLINK: [ber_uplink(a, factors(a), p).ber for a in fine],
-        Direction.DOWNLINK: [ber_downlink(a, factors(a), p).ber for a in fine],
+        Direction.UPLINK: [ul.ber for _, ul, _ in sr.rows],
+        Direction.DOWNLINK: [dl.ber for _, _, dl in sr.rows],
     }
     rows = run_campaign(p, cfg, coarse, pair)
     empirical[label] = {

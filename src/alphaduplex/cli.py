@@ -73,7 +73,6 @@ class RunConfig:
     sim: SimConfig
     pulses: PulsePair
     alpha_grid: tuple[float, ...]
-    outputs: str = "."
 
 
 def _unit_parser(quantity: str, units: dict, hint: str):
@@ -264,17 +263,17 @@ def _check_closed_forms(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _out_paths(cfg: RunConfig, names) -> list:
+def _out_paths(out_dir: str, names) -> list:
     # checked before the command does any work: a bad name leaves no outputs
     try:
-        os.makedirs(cfg.outputs, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:   # a file in the way, or no permission
         raise ConfigError(f"cannot create output directory "
-                          f"{cfg.outputs!r}: {exc}") from None
-    paths = [os.path.join(cfg.outputs, name) for name in names]
+                          f"{out_dir!r}: {exc}") from None
+    paths = [os.path.join(out_dir, name) for name in names]
     for path in paths:
         if os.path.isdir(path) or not os.access(
-                path if os.path.exists(path) else cfg.outputs, os.W_OK):
+                path if os.path.exists(path) else out_dir, os.W_OK):
             raise ConfigError(f"cannot write output file {path!r}: "
                               "it is a directory or read-only")
     return paths
@@ -372,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="configuration file (INI; omit for defaults)")
-    common.add_argument("--out", metavar="DIR",
+    common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current directory)")
     common.add_argument("--seed", metavar="N", type=int,
                         help="override the simulation seed")
@@ -385,15 +384,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    text = ""
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        cfg = parse_config(text)
-    else:
-        cfg = parse_config("")
+    cfg = parse_config(text)
     if args.seed is not None:
         try:
             sim = dataclasses.replace(cfg.sim, seed=args.seed)
@@ -403,8 +401,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.alpha_grid is not None:
         cfg = dataclasses.replace(
             cfg, alpha_grid=parse_alpha_grid(args.alpha_grid))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, outputs=args.out)
     return cfg
 
 
@@ -420,7 +416,7 @@ def main(argv=None) -> int:
         cfg = _load_run_config(args)
         for check in checks:
             check(cfg)
-        paths = _out_paths(cfg, names)
+        paths = _out_paths(args.out, names)
         code, contents = command(cfg)
         lines = [f"wrote {path}" for path in paths]
         for path, content in zip(paths, contents):

@@ -27,7 +27,6 @@ __all__ = [
     "Direction",
     "dbm_to_watts",
     "db_to_linear",
-    "per_km2_to_per_m2",
     "SystemParams",
     "max_inversion_radius_m",
     "check_closed_form_domain",
@@ -48,10 +47,6 @@ def dbm_to_watts(x_dbm: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def per_km2_to_per_m2(x: float) -> float:
-    return x * 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ class SystemParams:
 
     @property
     def lambda_per_m2(self) -> float:
-        return per_km2_to_per_m2(self.lambda_bs)
+        return self.lambda_bs * 1e-6
 
     @property
     def sigma_n_sq(self) -> float:

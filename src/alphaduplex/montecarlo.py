@@ -435,8 +435,11 @@ def _downlink_sinr_from_parts(h0, bs_sum, ue_sum, r_o_m, own_tx,
     return num / denom
 
 
-def _pooled(direction: Direction, alpha: float, vals: np.ndarray,
+def _pooled(direction: Direction, alpha: float, sinr: np.ndarray,
             p: SystemParams) -> EmpiricalMetrics:
+    # the per-link BER omega1 erfc(sqrt(omega2 SINR)), pooled over links
+    w1, w2 = p.omega(direction)
+    vals = w1 * erfc(np.sqrt(w2 * sinr))
     n = vals.size
     mean = float(np.mean(vals))
     std_err = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -474,15 +477,10 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         raise ValueError("no measurement links fell inside the core window; "
                          "increase n_realizations or the region size")
 
-    w1_u, w2_u = p.omega(Direction.UPLINK)
-    w1_d, w2_d = p.omega(Direction.DOWNLINK)
-
     out = []
     for a, fac in zip(alphas, factors):
-        sinr_u = _uplink_sinr_from_parts(*ul, fac, p)
-        vals_u = w1_u * erfc(np.sqrt(w2_u * sinr_u))
-        out.append(_pooled(Direction.UPLINK, a, vals_u, p))
-        sinr_d = _downlink_sinr_from_parts(*dl, fac, p)
-        vals_d = w1_d * erfc(np.sqrt(w2_d * sinr_d))
-        out.append(_pooled(Direction.DOWNLINK, a, vals_d, p))
+        out.append(_pooled(Direction.UPLINK, a,
+                           _uplink_sinr_from_parts(*ul, fac, p), p))
+        out.append(_pooled(Direction.DOWNLINK, a,
+                           _downlink_sinr_from_parts(*dl, fac, p), p))
     return out

@@ -23,14 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import ClassVar
 
 import numpy as np
 
 from .model import Direction, SystemParams
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_quad, quad_intervals
+from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, quad_intervals
 
 __all__ = [
     "PulseKind",
@@ -146,19 +145,16 @@ def carrier_offset(b_u: float, b_d: float, alpha: float) -> float:
     return 0.5 * (b_u + b_d) - alpha * min(b_u, b_d)
 
 
-@lru_cache(maxsize=None)
-def _lobe_energy(kind: PulseKind) -> float:
-    # integral over the main lobe, in units of the half-width: for a pulse
-    # with nulls at +-1, int_{-1}^{1} sinc^2 or sinc^4.
-    power = 2 if kind is PulseKind.RECTANGULAR else 4
-    return adaptive_quad(lambda x: np.sinc(x) ** power, -1.0, 1.0,
-                         QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15))
+# main-lobe energy in units of the half-width: for a pulse with nulls at
+# +-1, int_{-1}^{1} sinc^2 (rectangular) or sinc^4 (triangular)
+_LOBE_ENERGY = {PulseKind.RECTANGULAR: 0.9028233335802807,
+                PulseKind.TRIANGULAR: 0.6647035639695598}
 
 
 def _peak(pulse: PulseShape) -> float:
     # normalization constant c with S(f) = c * sinc^m(2 f / W):
     # 1 = c^2 (W/2) int_{-1}^{1} sinc^(2m)  =>  c = sqrt(2 / (W * J))
-    return math.sqrt(2.0 / (pulse.allocated_band * _lobe_energy(pulse.kind)))
+    return math.sqrt(2.0 / (pulse.allocated_band * _LOBE_ENERGY[pulse.kind]))
 
 
 def _sinc_power(peak, band, squared, f):
@@ -225,8 +221,6 @@ def _correlations(cases, spec: QuadratureSpec = DEFAULT_QUADRATURE
     # and the lobes are summed in band order as Python floats.  The lobes
     # of all cases are integrated _LOBES_PER_CALL at a time, so one case
     # may span several calls.
-    for case in cases:
-        _check_pulses(*case)
     pending = (((i, k), lobe) for i, case in enumerate(cases)
                for k, victim in enumerate(Direction)
                for lobe in _lobes(victim, *case))
@@ -262,6 +256,7 @@ def _squared(total: float) -> float:
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,
                          pulse_d: PulseShape) -> InterferenceFactors:
     """The squared factors at the plan's alpha."""
+    _check_pulses(plan, pulse_u, pulse_d)
     (du, ud), = _correlations([(plan, pulse_u, pulse_d)])
     return InterferenceFactors(_squared(du), _squared(ud))
 

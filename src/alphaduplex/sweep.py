@@ -23,8 +23,7 @@ import numpy as np
 
 from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
-from .pulse import (BandPlan, InterferenceFactors, PulsePair,
-                    interference_factor_grid, interference_factors, make_pulses)
+from .pulse import InterferenceFactors, PulsePair, interference_factor_grid
 
 __all__ = [
     "NoCrossingError",
@@ -113,8 +112,8 @@ class SweepResult:
     def evaluate(self, alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
         """Both-direction metrics at ``alpha`` for this sweep's inputs."""
         alpha = float(alpha)
-        plan = BandPlan(self.params.b_u, self.params.b_d, alpha)
-        factors = interference_factors(plan, *make_pulses(self.pulses, plan))
+        (factors,) = interference_factor_grid(
+            self.params.b_u, self.params.b_d, self.pulses, [alpha])
         return _evaluate_point(self.params, alpha, factors)
 
     def table(self) -> tuple[tuple[float, float, float, float, float], ...]:

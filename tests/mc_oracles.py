@@ -33,7 +33,10 @@ The interference factors have a bit-exact oracle: each lobe between the
 spectral nulls integrated on its own by ``adaptive_quad``, as the package
 did before it batched the lobes of many alphas into shared seed passes.
 Its integrand is ``spectrum``, one pulse's S(f) from the package's
-normalization constant and sinc power.
+normalization constant and sinc power.  ``factors_time_domain`` checks the
+factors from outside the frequency-domain formula: it builds the pulses in
+time, takes their spectra by FFT, and correlates the shifted aggressor with
+the victim's band-limited matched filter, in numpy alone.
 
 ``distance_pdf``, the serving-distance density written out per km, is the
 oracle for the mass of that law and for the power moments taken over it.
@@ -55,7 +58,7 @@ from alphaduplex.model import (
 from alphaduplex import montecarlo
 from alphaduplex.montecarlo import NetworkRealization, StarvationError
 from alphaduplex import pulse
-from alphaduplex.pulse import InterferenceFactors, PulseKind, PulseShape
+from alphaduplex.pulse import InterferenceFactors, PulseKind, PulsePair, PulseShape
 from alphaduplex.specfun import QuadratureSpec, adaptive_quad, integrate_semi_infinite
 
 DISK_RADIUS_M = 10_000.0
@@ -628,3 +631,47 @@ def factors_per_lobe(plan, pulse_u, pulse_d) -> InterferenceFactors:
           for t in (factor_per_lobe(v, plan, pulse_u, pulse_d)
                     for v in (Direction.UPLINK, Direction.DOWNLINK))]
     return InterferenceFactors(*sq)
+
+
+def factors_time_domain(b_u: float, b_d: float, pair: PulsePair, alpha: float,
+                        n: int = 2 ** 18, symbols: int = 400) -> tuple[float, float]:
+    """(|I_d->u|, |I_u->d|) at ``alpha`` from time-aligned pulses, by FFT.
+
+    A band W carries a rectangle of length 2/W (a sinc with nulls at
+    +-W/2) or a triangle of half-width 2/W (a sinc^2).  ``n`` samples span
+    ``symbols`` times 2/min(b_u, b_d); each rectangle sample is the
+    fraction of its cell the pulse covers, so an edge between samples does
+    not move the nulls.  Each pulse is scaled to unit spectral energy
+    inside its own band, the aggressor is shifted by the carrier offset in
+    time, and the sum of its spectrum times the victim's over the victim's
+    band is the matched filter's output at lag 0.  The FFT bin width
+    cancels between that sum and the two energies.
+    """
+    b = min(b_u, b_d)
+    bands = (b_u + alpha * b, b_d + alpha * b)
+    offset = 0.5 * (b_u + b_d) - alpha * b   # f_d - f_u
+    dt = symbols * 2.0 / b / n
+    t = (np.arange(n) - n // 2) * dt
+    f = np.fft.fftfreq(n, dt)
+
+    def spectrum_td(kind, band, shift):
+        width = 2.0 / band
+        if kind is PulseKind.RECTANGULAR:
+            half = 0.5 * width
+            p = (np.clip(t + 0.5 * dt, -half, half)
+                 - np.clip(t - 0.5 * dt, -half, half)) / dt
+        else:
+            p = np.clip(1.0 - np.abs(t) / width, 0.0, None)
+        energy = np.sum(np.abs(np.fft.fft(p)[np.abs(f) <= 0.5 * band]) ** 2)
+        shifted = p * np.exp(2j * np.pi * shift * t) / math.sqrt(energy)
+        return np.fft.fft(np.fft.ifftshift(shifted))   # t = 0 at index 0
+
+    kinds = (pair.uplink, pair.downlink)
+    out = []
+    for victim, shift in ((0, offset), (1, -offset)):
+        aggr = 1 - victim
+        s_a = spectrum_td(kinds[victim], bands[victim], 0.0)
+        s_b = spectrum_td(kinds[aggr], bands[aggr], shift)
+        in_band = np.abs(f) <= 0.5 * bands[victim]
+        out.append(abs(np.vdot(s_a[in_band], s_b[in_band]).real))
+    return out[0], out[1]

@@ -814,14 +814,6 @@ class TestErrorHandling:
         assert cli.main(["analytic", "--out", str(tmp_path),
                          "--alpha-grid", "0::1"]) == EXIT_CONFIG
 
-    def test_import_defers_scipy_spatial(self):
-        # scipy.spatial loads only when a simulation needs it
-        code = ("import sys, alphaduplex.cli; "
-                "print('scipy.spatial' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
-
     def test_sweep_never_imports_scipy_optimize(self, tmp_path):
         # the crossing search polishes roots with its own Brent solver
         code = ("import sys; from alphaduplex import cli; "
@@ -852,25 +844,20 @@ class TestErrorHandling:
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import alphaduplex.cli") == []
 
-    @pytest.mark.parametrize("command", ["sweep", "analytic"])
+    @pytest.mark.parametrize("command",
+                             ["sweep", "analytic", "factors", "simulate"])
     def test_eta4_analysis_loads_no_scipy(self, tmp_path, command):
         # at eta = 4 the transforms are arctans and gamma(2, .) is elementary
-        run = (f"rc = cli.main([{command!r}, '--alpha-grid', '0:1:0.1', "
-               f"'--out', {str(tmp_path)!r}]); assert rc == 0")
-        assert _scipy_modules_after(run) == []
-
-    def test_reference_validate_loads_no_scipy_spatial(self, tmp_path):
-        # neighbour pairs come from the cell grid, and no realization of
-        # the reference config asks a k-d tree
         ini = tmp_path / "cfg.ini"
         ini.write_text("[sim]\nn_realizations = 20\n")
-        run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
-               f"'--out', {str(tmp_path)!r}]); assert rc == 0")
-        loaded = _scipy_modules_after(run)
-        assert not any(m.startswith("scipy.spatial") for m in loaded)
+        run = (f"rc = cli.main([{command!r}, '--config', {str(ini)!r}, "
+               f"'--alpha-grid', '0:1:0.1', '--out', {str(tmp_path)!r}]); "
+               "assert rc == 0")
+        assert _scipy_modules_after(run) == []
 
     def test_reference_validate_loads_no_scipy(self, tmp_path):
-        # erfc is an in-package Cephes port, so the whole path is scipy-free
+        # erfc is an in-package Cephes port, and no realization of the
+        # reference config asks a k-d tree, so the whole path is scipy-free
         ini = tmp_path / "cfg.ini"
         ini.write_text("[sim]\nn_realizations = 20\n")
         run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
@@ -895,12 +882,18 @@ class TestErrorHandling:
                 == (tmp_path / "want" / "simulate.csv").read_bytes())
 
     def test_general_eta_loads_scipy_special(self, tmp_path):
+        # the 2F1 alone: of scipy's public subpackages, scipy.special and
+        # the scipy.version it imports (scipy.special loads scipy._lib too)
         ini = tmp_path / "cfg.ini"
         ini.write_text("[params]\neta = 3.5\n")
-        run = (f"rc = cli.main(['analytic', '--config', {str(ini)!r}, "
-               f"'--alpha-grid', '0:1:0.5', '--out', {str(tmp_path)!r}]); "
-               "assert rc == 0")
-        assert "scipy.special" in _scipy_modules_after(run)
+        for command in ("analytic", "sweep"):
+            run = (f"rc = cli.main([{command!r}, '--config', {str(ini)!r}, "
+                   f"'--alpha-grid', '0:1:0.5', '--out', {str(tmp_path)!r}]); "
+                   "assert rc == 0")
+            public = {".".join(m.split(".")[:2])
+                      for m in _scipy_modules_after(run)
+                      if "." in m and not m.split(".")[1].startswith("_")}
+            assert public == {"scipy.special", "scipy.version"}, command
         assert len(read_csv(tmp_path / "analytic.csv")) == 1 + 2 * 3
 
     def test_no_module_imports_scipy_at_module_level(self):

@@ -16,7 +16,6 @@ from alphaduplex.model import (
     db_to_linear,
     dbm_to_watts,
     max_inversion_radius_m,
-    per_km2_to_per_m2,
     uplink_power_moment,
 )
 from alphaduplex.specfun import adaptive_quad
@@ -35,7 +34,8 @@ class TestConverters:
         assert db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-12)
 
     def test_intensity(self):
-        assert per_km2_to_per_m2(3.0) == pytest.approx(3e-6, rel=1e-15)
+        assert SystemParams(lambda_bs=3.0).lambda_per_m2 == pytest.approx(
+            3e-6, rel=1e-15)
 
 
 class TestSystemParams:

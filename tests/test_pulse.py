@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mc_oracles import factor_per_lobe, factors_per_lobe, spectrum
+from mc_oracles import factor_per_lobe, factors_per_lobe, factors_time_domain, spectrum
 
 from alphaduplex import pulse, specfun
 from alphaduplex.model import Direction
@@ -120,6 +120,16 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             PulseShape(PulseKind.RECTANGULAR, 0.0)
 
+    @pytest.mark.parametrize("kind, power", [(PulseKind.RECTANGULAR, 2),
+                                             (PulseKind.TRIANGULAR, 4)],
+                             ids=["rectangular", "triangular"])
+    def test_lobe_energy_literals_are_the_quadrature(self, kind, power):
+        # the main-lobe energies are stored as literals: the same bits as
+        # the adaptive quadrature of int_{-1}^{1} sinc^2 and sinc^4
+        energy = adaptive_quad(lambda x: np.sinc(x) ** power, -1.0, 1.0,
+                               QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15))
+        assert pulse._LOBE_ENERGY[kind] == energy
+
 
 class TestInterferenceFactorsType:
     def test_bounds(self):
@@ -156,6 +166,19 @@ class TestEffectiveFactor:
             oracle = np.trapezoid(
                 spectrum(aggressor, f - shift) * spectrum(victim, f), f)
             assert sq == pytest.approx(oracle ** 2, rel=1e-6)
+
+    def test_time_domain_matched_filter_oracle(self):
+        # pulses built in time, correlated by FFT: the discretisation error
+        # is 2.3e-6 in amplitude at the worst of these 24 factors, while
+        # integrating |S| instead of S reads 0.230 against 0.0042 at the
+        # interior minimum (alpha = 0.28, triangular UL, rectangular DL)
+        for pair in ALL_PAIRS:
+            alphas = [0.0, 0.28, 1.0]
+            grid = interference_factor_grid(1e6, 1e6, pair, alphas)
+            for alpha, fac in zip(alphas, grid):
+                du, ud = factors_time_domain(1e6, 1e6, pair, alpha)
+                assert np.sqrt(fac.i_du_sq) == pytest.approx(du, abs=2e-5)
+                assert np.sqrt(fac.i_ud_sq) == pytest.approx(ud, abs=2e-5)
 
     def test_adjacent_channel_leakage_positive(self):
         # alpha = 0, rect/rect: out-of-band ripples still leak

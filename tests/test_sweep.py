@@ -35,9 +35,7 @@ ZERO = InterferenceFactors(0.0, 0.0)
 
 
 def pin_zero_factors(monkeypatch):
-    # the sweep takes grid factors from the batched kernel and off-grid
-    # factors one alpha at a time; pin both to zero
-    monkeypatch.setattr(sweep, "interference_factors", lambda *a, **k: ZERO)
+    # the sweep takes grid and off-grid factors from the batched kernel
     monkeypatch.setattr(sweep, "interference_factor_grid",
                         lambda b_u, b_d, pair, alphas, *a, **k:
                         [ZERO] * len(alphas))
