@@ -94,10 +94,10 @@ class SystemParams:
         if not math.isfinite(self.b_u + self.b_d):
             raise ValueError("b_u + b_d must be finite, got "
                              f"{self.b_u} + {self.b_d} Hz")
-        # the factors step through a band in half bands of the other's pulse
-        if not 0.5 * min(self.b_u, self.b_d) > 0.0:
-            raise ValueError("b_u and b_d must be at least 1e-323 Hz, so that "
-                             f"half a band is positive; got {self.b_u}, "
+        # half a band positive, and the pulse peaks sqrt(2 / (W J)) finite
+        if not min(self.b_u, self.b_d) >= 1e-307:
+            raise ValueError("b_u and b_d must be at least 1e-307 Hz, so that "
+                             f"the pulse spectra are finite; got {self.b_u}, "
                              f"{self.b_d} Hz")
         # the interference factors integrate about twice this ratio in lobes
         if max(self.b_u, self.b_d) > 1e3 * min(self.b_u, self.b_d):

@@ -5,9 +5,11 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -528,10 +530,15 @@ class TestErrorHandling:
         "[params]\nomega1_d = 1.5\n",
         # half of 5e-324 Hz rounds to 0: the factors' lobe count divided by it
         "[params]\nb_u = 5e-324 Hz\nb_d = 5e-324 Hz\n",
+        # the pulse peaks sqrt(2 / (band J)) overflow to inf
+        "[params]\nb_u = 1.6205e-320 Hz\nb_d = 1.6205e-320 Hz\n",
+        # the peaks are finite here, but the floor is one round value
+        "[params]\nb_u = 1.7e-308 Hz\nb_d = 1.7e-308 Hz\n",
         # rho^(-2/eta), a factor of the UE-interference exponent, overflows
         "[params]\np_u_max = 1e-300 W\nrho = 1e-310 W\neta = 2.0001\n",
     ], ids=["band_ratio_high", "band_ratio_low", "omega1_u", "omega1_d",
-            "half_band_zero", "rho_power_overflow"])
+            "half_band_zero", "subnormal_bands", "below_band_floor",
+            "rho_power_overflow"])
     def test_out_of_range_params_are_config_errors(self, tmp_path, capsys,
                                                    config):
         # a huge band ratio used to hang in the factor integrals, and
@@ -597,10 +604,7 @@ class TestErrorHandling:
         # |I_ud|^2 rho / p_b overflows, and meets r^eta = 0 at eta = 1000
         ("p_b = 5e-324 W\nbeta = 0\neta = 1000\nomega2_u = 1e30\n",
          "invalid value encountered in multiply"),
-        # the pulse spectra's peaks overflow in the factor integrals
-        ("b_u = 1.6205e-320 Hz\nb_d = 1.6205e-320 Hz\n",
-         "invalid value encountered in matmul"),
-    ], ids=["self_interference", "ue_exclusion", "subnormal_bands"])
+    ], ids=["self_interference", "ue_exclusion"])
     def test_closed_forms_with_no_finite_value(self, tmp_path, capsys,
                                                config, operation):
         # these accepted sets used to stall the quadrature with a warning
@@ -616,6 +620,33 @@ class TestErrorHandling:
             "error": "quadrature",
             "message": f"the integrand has no finite value: {operation}"}
         assert list(out.iterdir()) == []
+
+    def test_band_floor_is_inclusive(self, tmp_path, capsys):
+        # at 1e-307 Hz every command runs as at 1 MHz, and the factors,
+        # which depend only on b_u / b_d, keep their values; one float
+        # below, every command is a configuration error that writes nothing
+        ini = tmp_path / "cfg.ini"
+        base = "[sim]\nn_realizations = 3\n[params]\n"
+        grid = ["--alpha-grid", "0:1:0.5"]
+        for command in FROZEN_RUNS:
+            ini.write_text(base + "b_u = 1e-307 Hz\nb_d = 1e-307 Hz\n")
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(ini), "--out", str(out),
+                             "--seed", "1"] + grid) == FROZEN_RUNS[command][0]
+            assert capsys.readouterr().err == ""
+            below = math.nextafter(1e-307, 0.0)
+            ini.write_text(base + f"b_u = {below!r} Hz\nb_d = 1e-307 Hz\n")
+            assert cli.main([command, "--config", str(ini), "--out",
+                             str(tmp_path / "below")] + grid) == EXIT_CONFIG
+            (line,) = capsys.readouterr().err.splitlines()
+            assert json.loads(line)["error"] == "config"
+            assert not (tmp_path / "below").exists()
+        ref = tmp_path / "ref"
+        assert cli.main(["factors", "--out", str(ref)] + grid) == EXIT_OK
+        tiny, wide = (read_csv(d / "factors.csv")[1:]
+                      for d in (tmp_path / "factors", ref))
+        assert [[float(v) for v in row] for row in tiny] == [
+            pytest.approx([float(v) for v in row], rel=1e-9) for row in wide]
 
     def test_band_ratio_bound_is_inclusive(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
@@ -918,3 +949,82 @@ class TestErrorHandling:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+class _Mallopt:
+    """A C function stand-in: records its calls, takes an ``argtypes``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _no_mallopt(name):
+    return SimpleNamespace()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+# minor faults of a reference sweep inside cli.main: about 200 with the heap
+# policy, about 12,000 where glibc trims the heap top between temporaries
+_MAX_SWEEP_FAULTS = 2000
+
+
+class TestHeapPolicy:
+    def test_thresholds_pinned_before_the_command(self, tmp_path,
+                                                  monkeypatch, capsys):
+        mallopt = _Mallopt()
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        seen = []
+        fn, *row = cli._COMMANDS["factors"]
+
+        def factors(cfg):
+            seen.append(list(mallopt.calls))
+            return fn(cfg)
+
+        monkeypatch.setitem(cli._COMMANDS, "factors", (factors, *row))
+        assert cli.main(["factors", "--out", str(tmp_path),
+                         "--alpha-grid", "0:1:0.5"]) == EXIT_OK
+        want = [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt.calls == want
+        assert seen == [want]
+        assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+        assert mallopt.restype is cli.ctypes.c_int
+
+    @pytest.mark.parametrize("cdll", [_no_mallopt, _no_libc],
+                             ids=["no_mallopt", "no_libc"])
+    def test_library_without_mallopt_keeps_its_policy(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      cdll):
+        grid = ["--alpha-grid", "0:1:0.5"]
+        assert cli.main(["factors", "--out", str(tmp_path / "ref")]
+                        + grid) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli.main(["factors", "--out", str(tmp_path / "out")]
+                        + grid) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {tmp_path / 'out' / 'factors.csv'}\n"
+        assert captured.err == ""
+        assert ((tmp_path / "out" / "factors.csv").read_bytes()
+                == (tmp_path / "ref" / "factors.csv").read_bytes())
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's")
+    def test_reference_sweep_reuses_its_heap(self, tmp_path):
+        code = ("import resource; from alphaduplex import cli; "
+                "faults = lambda: resource.getrusage("
+                "resource.RUSAGE_SELF).ru_minflt; f0 = faults(); "
+                "rc = cli.main(['sweep', '--alpha-grid', '0:1:0.01', "
+                f"'--out', {str(tmp_path)!r}]); print(rc, faults() - f0)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        rc, faults = map(int, out.strip().splitlines()[-1].split())
+        assert rc == EXIT_OK
+        assert faults <= _MAX_SWEEP_FAULTS
