@@ -16,13 +16,29 @@ UE placement runs in lockstep over a block of realizations: each keeps its
 own generator and draws what placing it alone would draw, in the same
 order, while one vectorised rejection round serves the whole block.  A
 candidate is judged against its owner's neighbours within 2 r_max, listed
-from a uniform cell grid where they fit the block budget; a realization
-with too many neighbour pairs, and a decision within a relative 1e-12 of a
-tie, between two BSs or at the distance bound, go to a cKDTree.query of
-that realization, so every decision is the tree's own.  A realization's
-tree, and scipy.spatial with it, is built only when a candidate first asks.
-Each round compacts its arrays with index gathers (``take``): numpy indexes
-with a random boolean mask several times slower.
+from a uniform cell grid where they fit the pair-table budget; a
+realization with too many neighbour pairs, and a decision within a
+relative 1e-12 of a tie, between two BSs or at the distance bound, go to a
+cKDTree.query of that realization, so every decision is the tree's own.  A
+realization's tree, and scipy.spatial with it, is built only when a
+candidate first asks.  Each round compacts its arrays with index gathers
+(``take``): numpy indexes with a random boolean mask several times slower.
+
+A realization down to one unserved BS draws the (radius, angle) pairs of
+its next rounds in one call, which yields the numbers those rounds would
+draw one pair at a time, and tests them as that many rows; the first
+winner in draw order is kept.  Nothing draws from a placement generator
+after its last BS is placed, so the draws past the winner are never seen
+and the placement is bit-equal to drawing round by round.  This removes
+most of the short tail rounds that every block pays.
+
+Placement has two budgets of entries (BSs plus directed neighbour pairs).
+The pair-table budget bounds one realization's listed pairs: a table
+places faster than the tree, so it admits realizations of 54,000 entries
+(lambda = 10 /km^2).  The smaller block budget closes a block: the block's
+first round, with every BS unserved, sets the peak memory of placement,
+and fewer tail rounds pay for the extra blocks.  Placements depend on
+neither.
 
 Links are assembled per realization and direction as one block: the
 (links x BSs) distances and fading gains of all core links at once, the
@@ -58,17 +74,21 @@ __all__ = [
 ]
 
 
-# BSs plus directed neighbour pairs per block of realizations placed in
-# lockstep (about 21 at the reference config).  A realization whose BSs and
-# pairs, expected or listed, pass it lists none and asks its k-d tree every
-# round; its BSs count alone, so a round holds O(_BLOCK_ENTRIES + BSs).
-_BLOCK_ENTRIES = 120_000
+# BSs plus directed neighbour pairs of one realization beyond which it lists
+# none and asks its k-d tree every round.
+_TABLE_ENTRIES = 120_000
+# Entries at which a block of realizations placed in lockstep closes (about
+# 10 realizations at the reference config); a round holds
+# O(_BLOCK_ENTRIES + _TABLE_ENTRIES + BSs) rows.
+_BLOCK_ENTRIES = 60_000
 # Relative gap of squared distances within which cKDTree.query decides a
 # candidate; rounding is far smaller, so every decision is the tree's own.
 _TIE_TOL = 1e-12
-# Rejection rounds of UE placement: each round draws one candidate per BS
-# still without a UE, so no BS gets more.
+# Candidates per BS, not rounds: a BS still without a UE after drawing this
+# many starves, whether they came one per round or in lone batches.
 _CANDIDATE_CAP = 1_000_000
+# Candidates a realization's lone unserved BS draws and tests in one round.
+_LONE_BATCH = 16
 
 # The rest of the last placed block, (p, cfg, index) -> realization or the
 # StarvationError it raised; sample_realization serves and removes entries.
@@ -215,12 +235,12 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
             np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
         n_bs = int(rng.poisson(p.lambda_bs * cfg.region_side ** 2))
         bs = rng.random((n_bs, 2)) * cfg.region_side
-        # list the pairs only where they are expected to fit the budget,
-        # and do; other realizations ask a k-d tree
+        # list the pairs only where they are expected to fit the table
+        # budget, and do; other realizations ask a k-d tree
         near = None
-        if n_bs * (1 + per_bs) <= _BLOCK_ENTRIES:
+        if n_bs * (1 + per_bs) <= _TABLE_ENTRIES:
             near = _near_pairs(bs, 2 * bound, cfg.region_side)
-            if n_bs + 2 * near.shape[0] > _BLOCK_ENTRIES:
+            if n_bs + 2 * near.shape[0] > _TABLE_ENTRIES:
                 near = None
             else:
                 entries += 2 * near.shape[0]
@@ -245,42 +265,67 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
     slot = np.concatenate((lo, hi))
     px = np.concatenate((bx[hi], bx[lo]))
     py = np.concatenate((by[hi], by[lo]))
-    del nears, lo, hi   # free them: the rounds need only these rows
+    # free the pair lists, which ``block`` holds too: rounds need only rows
+    del block, nears, lo, hi
 
     ue = np.zeros((bx.size, 2))
     dist = np.zeros(bx.size)
     unserved = np.arange(bx.size)
-    for _ in range(_CANDIDATE_CAP):
-        if unserved.size == 0:
-            break
+    # candidates drawn so far by each unserved BS of a realization, and the
+    # BSs it left starved
+    drawn = [0] * len(used)
+    left = np.zeros(len(used), dtype=np.intp)
+    while unserved.size:
         owner = owner_block.take(unserved)
-        counts = np.bincount(owner, minlength=len(used))
-        # each generator draws the radii, then the angles of its own BSs
-        draws = [(rngs[j].random(c), rngs[j].random(c))
-                 for j, c in enumerate(counts.tolist()) if c]
+        # a realization with one unserved BS draws the (radius, angle) pairs
+        # of its next rounds at once and tests them as that BS's rows; the
+        # draws past its first winner are never seen
+        draws, lone = [], {}
+        for j, c in enumerate(np.bincount(owner, minlength=len(used)).tolist()):
+            if c == 1:
+                c = lone[j] = min(_LONE_BATCH, _CANDIDATE_CAP - drawn[j])
+                u = rngs[j].random(2 * c)
+                draws.append((u[0::2], u[1::2]))
+                drawn[j] += c
+            elif c:   # the radii, then the angles of its own BSs
+                draws.append((rngs[j].random(c), rngs[j].random(c)))
+                drawn[j] += 1
         radius = r_draw * np.sqrt(np.concatenate([r for r, _ in draws]))
         angle = 2.0 * math.pi * np.concatenate([a for _, a in draws])
-        ox, oy = bx.take(unserved), by.take(unserved)
+        at = unserved   # the BS of each row
+        batched = radius.size > unserved.size
+        if batched:   # a lone BS's rows, repeated
+            reps = np.ones(len(used), dtype=np.intp)
+            reps[list(lone)] = list(lone.values())
+            reps = reps.take(owner)
+            first = np.cumsum(reps) - reps   # each BS's first row
+            at = np.repeat(unserved, reps)
+        ox, oy = bx.take(at), by.take(at)
         cx = ox + radius * np.cos(angle)
         cy = oy + radius * np.sin(angle)
         inside = (np.minimum(cx, cy) >= 0.0) & (np.maximum(cx, cy) <= cfg.region_side)
         # the rows of tree-side BSs and near ties are the trees' to decide,
         # one query per realization (rows are sorted by realization)
-        tree = asks_tree.take(unserved)
+        tree = asks_tree.take(at)
         ask = inside & tree
-        ok = np.zeros(unserved.size, dtype=bool)
+        ok = np.zeros(at.size, dtype=bool)
         if not tree.all():   # skipped when only tree rows are left
             # squared distance to the nearest other listed BS (or the
             # bound), less d_own
             d_own = _sum_sq(ox - cx, oy - cy)
-            gap = np.full(unserved.size, bound * bound)
-            np.minimum.at(gap, slot, _sum_sq(cx.take(slot) - px, cy.take(slot) - py))
+            gap = np.full(at.size, bound * bound)
+            if batched:   # a lone BS's neighbour rows, once per row of it
+                nb = reps.take(slot)
+                _nearest_sq(gap, cx, cy, _runs(first.take(slot), nb),
+                            np.repeat(px, nb), np.repeat(py, nb))
+            else:
+                _nearest_sq(gap, cx, cy, slot, px, py)
             gap -= d_own
             margin = _TIE_TOL * d_own
             ok = inside & (gap > margin) & ~tree
             ask |= inside & (np.abs(gap) <= margin)
         asked = np.flatnonzero(ask)
-        own = owner.take(asked)
+        own = owner_block.take(at.take(asked))
         head = 0
         while head < asked.size:
             j = int(own[head])
@@ -291,22 +336,31 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
                 trees[j] = cKDTree(positions[j])
             _, nearest = trees[j].query(np.column_stack((cx[t], cy[t])),
                                         distance_upper_bound=bound)
-            ok[t] = nearest == unserved[t] - starts[j]
+            ok[t] = nearest == at[t] - starts[j]
             head = end
         hit = np.flatnonzero(ok)
-        won = unserved.take(hit)
+        won_slot = hit
+        if batched:   # a BS's first winning row, in draw order
+            won_slot = np.searchsorted(first, hit, side="right") - 1
+            firsts = np.flatnonzero(np.diff(won_slot, prepend=-1))
+            hit, won_slot = hit.take(firsts), won_slot.take(firsts)
+        won = at.take(hit)
         ue[won, 0], ue[won, 1], dist[won] = cx.take(hit), cy.take(hit), radius.take(hit)
-        keep = ~ok
+        keep = np.ones(unserved.size, dtype=bool)
+        keep[won_slot] = False
+        if max(drawn) >= _CANDIDATE_CAP:   # some BSs may have none left
+            starved = keep & (np.array(drawn).take(owner) >= _CANDIDATE_CAP)
+            left += np.bincount(owner[starved], minlength=len(used))
+            keep &= ~starved
         kept = np.flatnonzero(keep)
-        unserved = unserved.take(kept)
-        if hit.size and slot.size:   # else every row keeps its slot
+        if kept.size < unserved.size and slot.size:   # else every row keeps its slot
             rows = np.flatnonzero(keep.take(slot))
-            remap = np.empty(ok.size, dtype=np.intp)   # a kept row's new slot
+            remap = np.empty(keep.size, dtype=np.intp)   # a kept row's new slot
             remap[kept] = np.arange(kept.size)
             slot = remap.take(slot.take(rows))
             px, py = px.take(rows), py.take(rows)
+        unserved = unserved.take(kept)
 
-    left = np.bincount(owner_block[unserved], minlength=len(used))
     out = {}
     for j, idx in enumerate(used):
         if left[j]:
@@ -319,6 +373,23 @@ def _place_block(p: SystemParams, cfg: SimConfig, start: int, stop: int) -> dict
         out[p, cfg, idx] = NetworkRealization(
             positions[j], ue[span].copy(), p.rho * (M_PER_KM * d) ** p.eta, d)
     return out
+
+
+def _nearest_sq(gap, cx, cy, row, px, py) -> None:
+    # gap[i] = min(gap[i], (cx[i] - px[k])^2 + (cy[i] - py[k])^2 over the
+    # k with row[k] == i), the differences formed in place
+    dx = cx.take(row)
+    dx -= px
+    dy = cy.take(row)
+    dy -= py
+    np.minimum.at(gap, row, _sum_sq(dx, dy))
+
+
+def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    # start[i], start[i] + 1, ..., start[i] + length[i] - 1 for each i, in turn
+    end = np.cumsum(length)
+    return (np.repeat(start - (end - length), length)
+            + np.arange(end[-1] if end.size else 0))
 
 
 def _near_pairs(pos: np.ndarray, r: float, side: float) -> np.ndarray:

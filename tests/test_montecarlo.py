@@ -173,6 +173,30 @@ def count_blocks(monkeypatch):
     return blocks
 
 
+def count_draw_calls(monkeypatch, place):
+    # place() and the random() calls of the generators it seeds meanwhile
+    calls = []
+
+    class Counted(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append(1)
+            return super().random(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng",
+                  lambda seed: Counted(np.random.PCG64(seed)))
+        out = place()
+    return out, len(calls)
+
+
+LONE_CASES = {
+    "reference": (REF, 3),
+    "eta3": (dataclasses.replace(REF, eta=3.0), 2),
+    "lambda10": (dataclasses.replace(REF, lambda_bs=10.0), 2),
+    "lambda30": (dataclasses.replace(REF, lambda_bs=30.0), 1),
+}
+
+
 class TestLockstepPlacement:
     """Blocks of realizations placed in lockstep against the per-round oracle."""
 
@@ -253,7 +277,7 @@ class TestLockstepPlacement:
     def test_untabulated_realizations_ask_the_tree(self, monkeypatch):
         # eta = 2.5 gives r_max = 10 km: about 196 BSs on 400 km^2, nearly
         # all of them neighbours.  Realizations with more than about 195
-        # BSs are expected to pass _BLOCK_ENTRIES and list no pairs, the
+        # BSs are expected to pass _TABLE_ENTRIES and list no pairs, the
         # others list theirs; both kinds share blocks
         wide = dataclasses.replace(REF, eta=2.5, lambda_bs=0.49)
         cfg = SimConfig(n_realizations=8, seed=1)
@@ -279,6 +303,7 @@ class TestLockstepPlacement:
         # order, and a win on either side remaps the neighbour rows' slots.
         # In some mixed block every listed BS is served while tree-side BSs
         # still wait: rounds then run with no neighbour rows
+        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 228)
         monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 228)
         cfg = SimConfig(n_realizations=20, seed=1, region_side=4.0,
                         core_side=1.0)
@@ -318,6 +343,7 @@ class TestLockstepPlacement:
         # about 4.8 each on a 4 km side) whose listed pairs do not: each
         # pair reported twice leaves every decision as it is, but doubles
         # the rows, so some realizations drop their list and ask the tree
+        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 300)
         monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 300)
         monkeypatch.setattr(montecarlo, "_block", {})
         cfg = SimConfig(n_realizations=10, seed=3, region_side=4.0,
@@ -362,6 +388,66 @@ class TestLockstepPlacement:
             tracemalloc.stop()
         assert peak < 1.5e6
         assert_same_realization(real, sample_realization_per_round(wide, cfg, 0))
+
+    @pytest.mark.parametrize("case", sorted(LONE_CASES))
+    def test_lone_batches_equal_the_oracle(self, case, monkeypatch):
+        # a realization's last unserved BS draws the (radius, angle) pairs
+        # of up to _LONE_BATCH rounds in one random() call, where the oracle
+        # makes two calls a round: fewer calls, and the same UEs
+        p, n = LONE_CASES[case]
+        cfg = SimConfig(n_realizations=n, seed=1)
+        out, calls = count_draw_calls(
+            monkeypatch, lambda: montecarlo._place_block(p, cfg, 0, n))
+        assert sorted(idx for _, _, idx in out) == list(range(n))
+        oracle_calls = 0
+        for idx in range(n):
+            want, c = count_draw_calls(
+                monkeypatch, lambda: sample_realization_per_round(p, cfg, idx))
+            assert_same_realization(out[p, cfg, idx], want)
+            oracle_calls += c
+        assert calls < oracle_calls
+
+    def test_lone_batch_stops_at_the_cap(self, monkeypatch):
+        # seed 84: 12 of 13 BSs are placed within 40 candidates, and the
+        # last draws the rest of its 40 in lone batches and starves.  Its
+        # 41st candidate or a later one of a full batch would be admissible,
+        # so a batch that overran the cap would place it
+        cap_candidates(monkeypatch, 40)
+        cfg = SimConfig(n_realizations=1, seed=84, region_side=2.0,
+                        core_side=1.0)
+        with pytest.raises(StarvationError) as oracle:
+            sample_realization_per_round(REF, cfg, 0)
+        with pytest.raises(StarvationError) as got:
+            sample_realization(REF, cfg, 0)
+        assert str(got.value) == str(oracle.value) == (
+            "1 of 13 BSs found no admissible UE within 40 candidates each")
+
+    def test_reference_placement_memory_ceiling(self):
+        # a block's first round, with all its BSs unserved, sets the peak:
+        # about 5.2 MB when blocks close at 60,000 entries, 9.4 MB at 120,000
+        cfg = SimConfig(n_realizations=300, seed=1)
+        tracemalloc.start()
+        try:
+            start = 0
+            while start < cfg.n_realizations:
+                start += len(montecarlo._place_block(REF, cfg, start,
+                                                     cfg.n_realizations))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_campaign_independent_of_the_block_budget(self, monkeypatch):
+        cfg = SimConfig(n_realizations=24, seed=2)
+        rows, blocks = [], []
+        for budget in (1, montecarlo._BLOCK_ENTRIES, 120_000):
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_BLOCK_ENTRIES", budget)
+                m.setattr(montecarlo, "_block", {})
+                blocks.append(count_blocks(m))
+                rows.append(run_campaign(REF, cfg, [0.0, 0.5], RT_PAIR))
+        assert rows[0] == rows[1] == rows[2]
+        assert blocks[0] == [1] * 24 and len(blocks[1]) > len(blocks[2]) > 2
 
     def test_later_starvation_spares_earlier_realizations(self, monkeypatch):
         # seed 14: realization 0 places all its UEs within 3 candidates,
