@@ -541,7 +541,10 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
         real = sample_realization(p, cfg, idx)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(idx, 1)))
-        parts.append(_core_link_parts(real, p, cfg, rng))
+        # a path gain or SINR past the float range is inf, and its BER 0,
+        # the limit the closed forms take; invalid operations still warn
+        with np.errstate(over="ignore"):
+            parts.append(_core_link_parts(real, p, cfg, rng))
     ul = np.concatenate([u for u, _ in parts], axis=1)   # rows: h0, bs_sum, ue_sum
     dl = np.concatenate([d for _, d in parts], axis=1)   # and then r_o_m, own_tx
     if ul.shape[1] == 0 or dl.shape[1] == 0:
@@ -549,9 +552,10 @@ def run_campaign(p: SystemParams, cfg: SimConfig, alpha_list,
                          "increase n_realizations or the region size")
 
     out = []
-    for a, fac in zip(alphas, factors):
-        out.append(_pooled(Direction.UPLINK, a,
-                           _uplink_sinr_from_parts(*ul, fac, p), p))
-        out.append(_pooled(Direction.DOWNLINK, a,
-                           _downlink_sinr_from_parts(*dl, fac, p), p))
+    with np.errstate(over="ignore"):
+        for a, fac in zip(alphas, factors):
+            out.append(_pooled(Direction.UPLINK, a,
+                               _uplink_sinr_from_parts(*ul, fac, p), p))
+            out.append(_pooled(Direction.DOWNLINK, a,
+                               _downlink_sinr_from_parts(*dl, fac, p), p))
     return out

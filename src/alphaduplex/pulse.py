@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import ClassVar
 
@@ -38,7 +38,6 @@ __all__ = [
     "BandPlan",
     "InterferenceFactors",
     "link_throughput",
-    "carrier_offset",
     "make_pulses",
     "interference_factors",
     "interference_factor_grid",
@@ -88,13 +87,17 @@ class BandPlan:
     b_u: float      # Hz, uplink null-to-null band
     b_d: float      # Hz, downlink band
     alpha: float    # overlap fraction in [0, 1]
-    b: float = field(init=False)               # min(b_u, b_d)
-    carrier_offset: float = field(init=False)  # f_d - f_u, Hz
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", min(self.b_u, self.b_d))
-        object.__setattr__(
-            self, "carrier_offset", carrier_offset(self.b_u, self.b_d, self.alpha))
+        if self.b_u <= 0.0 or self.b_d <= 0.0:
+            raise ValueError("bandwidths must be positive")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+
+    b = property(lambda self: min(self.b_u, self.b_d))
+    # carrier spacing f_d - f_u, Hz
+    carrier_offset = property(
+        lambda self: 0.5 * (self.b_u + self.b_d) - self.alpha * self.b)
 
     def accessible_bandwidth(self, direction: Direction) -> float:
         if direction is Direction.UPLINK:
@@ -134,15 +137,6 @@ class InterferenceFactors:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-def carrier_offset(b_u: float, b_d: float, alpha: float) -> float:
-    """Carrier spacing f_d - f_u for overlap fraction alpha (Hz)."""
-    if b_u <= 0.0 or b_d <= 0.0:
-        raise ValueError("bandwidths must be positive")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return 0.5 * (b_u + b_d) - alpha * min(b_u, b_d)
 
 
 # main-lobe energy in units of the half-width: for a pulse with nulls at
@@ -250,7 +244,7 @@ def _integrate_lobes(rows, spec: QuadratureSpec) -> list[float]:
 
 
 def _squared(total: float) -> float:
-    return min(max(total * total, 0.0), 1.0)
+    return min(total * total, 1.0)
 
 
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,

@@ -89,15 +89,8 @@ class SweepResult:
     pulses: PulsePair
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("rows must be nonempty")
-        prev = -1.0
+        _validated_grid(self.alphas)
         for alpha, ul, dl in self.rows:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-            if alpha <= prev:
-                raise ValueError("alphas must be strictly increasing")
-            prev = alpha
             if ul.direction is not Direction.UPLINK or ul.alpha != alpha:
                 raise ValueError("first metrics of each row must be uplink "
                                  "at the row's alpha")

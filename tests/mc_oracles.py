@@ -36,7 +36,9 @@ Its integrand is ``spectrum``, one pulse's S(f) from the package's
 normalization constant and sinc power.  ``factors_time_domain`` checks the
 factors from outside the frequency-domain formula: it builds the pulses in
 time, takes their spectra by FFT, and correlates the shifted aggressor with
-the victim's band-limited matched filter, in numpy alone.
+the victim's band-limited matched filter, in numpy alone.  The tests that
+need the factors at one alpha take them from ``factors_at``, through the
+batched kernel, as the program does.
 
 ``distance_pdf``, the serving-distance density written out per km, is the
 oracle for the mass of that law and for the power moments taken over it.
@@ -631,6 +633,12 @@ def factors_per_lobe(plan, pulse_u, pulse_d) -> InterferenceFactors:
           for t in (factor_per_lobe(v, plan, pulse_u, pulse_d)
                     for v in (Direction.UPLINK, Direction.DOWNLINK))]
     return InterferenceFactors(*sq)
+
+
+def factors_at(alpha: float, p: SystemParams = SystemParams(),
+               pair: PulsePair = PulsePair()) -> InterferenceFactors:
+    """The squared factors at one alpha, from ``interference_factor_grid``."""
+    return pulse.interference_factor_grid(p.b_u, p.b_d, pair, [alpha])[0]
 
 
 def factors_time_domain(b_u: float, b_d: float, pair: PulsePair, alpha: float,

@@ -27,14 +27,7 @@ from alphaduplex.analytic import (
 )
 from alphaduplex.model import Direction, SystemParams, max_inversion_radius_m
 from alphaduplex.montecarlo import SimConfig, run_campaign, sample_realization
-from alphaduplex.pulse import (
-    BandPlan,
-    InterferenceFactors,
-    PulseKind,
-    PulsePair,
-    interference_factors,
-    make_pulses,
-)
+from alphaduplex.pulse import InterferenceFactors, PulseKind, PulsePair
 from alphaduplex.specfun import hyp2f1_special, lower_gamma_2
 from alphaduplex.sweep import find_operating_points, sweep_alpha
 
@@ -46,11 +39,6 @@ HALF = InterferenceFactors(0.5, 0.3)
 CROSS_VALIDATION_TOL = 0.02
 N_REALIZATIONS = 200
 CROSS_VALIDATION_SEED = 61
-
-
-def factors_at(alpha, p=REF, pair=RT_PAIR):
-    plan = BandPlan(p.b_u, p.b_d, alpha)
-    return interference_factors(plan, *make_pulses(pair, plan))
 
 
 def report(name: str, ok: bool, detail: str, t0: float, budget_s: float) -> None:
@@ -94,7 +82,7 @@ def test_c3_eta4_consistency():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        fac = factors_at(alpha)
+        fac = mo.factors_at(alpha)
         for oracle, general in ((mo.ber_uplink_eta4_arctan, ber_uplink),
                                 (mo.ber_downlink_eta4_arctan, ber_downlink)):
             a = oracle(fac, REF)
@@ -142,7 +130,7 @@ def test_c5_analytic_vs_simulation():
         for m in run_campaign(p, cfg, alphas, RT_PAIR):
             fn = (ber_uplink if m.direction is Direction.UPLINK
                   else ber_downlink)
-            analytic = fn(m.alpha, factors_at(m.alpha, p), p).ber
+            analytic = fn(m.alpha, mo.factors_at(m.alpha, p), p).ber
             gap = abs(m.mean_ber - analytic)
             tol = max(CROSS_VALIDATION_TOL, 4.0 * m.std_err)
             all_ok = all_ok and gap <= tol
@@ -190,7 +178,7 @@ def test_c8_property_suite():
                  PulsePair(uplink=PulseKind.TRIANGULAR,
                            downlink=PulseKind.TRIANGULAR)):
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            fac = factors_at(alpha, pair=pair)
+            fac = mo.factors_at(alpha, pair=pair)
             ok &= 0.0 <= fac.i_du_sq <= 1.0 and 0.0 <= fac.i_ud_sq <= 1.0
             ok &= fac.i_uu_sq == 1.0 and fac.i_dd_sq == 1.0
             if pair.uplink is pair.downlink:
@@ -218,7 +206,7 @@ def test_c8_property_suite():
 
     # BER bounds and the throughput identity
     for alpha in (0.0, 0.5, 1.0):
-        fac = factors_at(alpha)
+        fac = mo.factors_at(alpha)
         for m in (ber_uplink(alpha, fac, REF),
                   ber_downlink(alpha, fac, REF)):
             w1, _ = REF.omega(m.direction)

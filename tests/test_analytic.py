@@ -27,27 +27,13 @@ from alphaduplex.analytic import (
     hamdi_average,
 )
 from alphaduplex.model import Direction, SystemParams
-from alphaduplex.pulse import (
-    BandPlan,
-    InterferenceFactors,
-    PulseKind,
-    PulsePair,
-    interference_factors,
-    make_pulses,
-)
+from alphaduplex.pulse import InterferenceFactors
 from alphaduplex.specfun import hyp2f1_special
 
 REF = SystemParams()
 FULL = InterferenceFactors(1.0, 1.0)
 ZERO = InterferenceFactors(0.0, 0.0)
 HALF = InterferenceFactors(0.5, 0.3)
-RT_PAIR = PulsePair(uplink=PulseKind.TRIANGULAR, downlink=PulseKind.RECTANGULAR)
-
-
-def rt_factors(alpha: float, p: SystemParams = REF) -> InterferenceFactors:
-    plan = BandPlan(p.b_u, p.b_d, alpha)
-    pulse_u, pulse_d = make_pulses(RT_PAIR, plan)
-    return interference_factors(plan, pulse_u, pulse_d)
 
 
 class TestTransformValues:
@@ -231,13 +217,13 @@ class TestHamdiAverage:
 
 class TestBerAssembly:
     def test_uplink_matches_independent_integrator(self):
-        fac = rt_factors(0.5)
+        fac = O.factors_at(0.5)
         mine = ber_uplink(0.5, fac, REF).ber
         ref = O.ber_uplink_scipy_reference(fac, REF)
         assert mine == pytest.approx(ref, rel=1e-8)
 
     def test_downlink_matches_independent_integrator(self):
-        fac = rt_factors(0.5)
+        fac = O.factors_at(0.5)
         mine = ber_downlink(0.5, fac, REF).ber
         ref = O.ber_downlink_scipy_reference(fac, REF)
         assert mine == pytest.approx(ref, rel=1e-6)
@@ -250,7 +236,7 @@ class TestBerAssembly:
             1.0: (0.957895868794232, 0.31080327614292313),
         }
         for alpha, (ul, dl) in expected.items():
-            fac = rt_factors(alpha)
+            fac = O.factors_at(alpha)
             assert ber_uplink(alpha, fac, REF).ber == pytest.approx(ul, rel=1e-7)
             assert ber_downlink(alpha, fac, REF).ber == pytest.approx(dl, rel=1e-7)
 
@@ -279,7 +265,7 @@ class TestBerAssembly:
     }
 
     def test_frozen_bits(self):
-        factors = {alpha: rt_factors(alpha) for alpha in self.FROZEN_FACTOR_BITS}
+        factors = {alpha: O.factors_at(alpha) for alpha in self.FROZEN_FACTOR_BITS}
         for alpha, (du, ud) in self.FROZEN_FACTOR_BITS.items():
             assert factors[alpha].i_du_sq == float.fromhex(du)
             assert factors[alpha].i_ud_sq == float.fromhex(ud)
@@ -297,30 +283,30 @@ class TestBerAssembly:
         # with self-interference cancelled, full overlap still multiplies the
         # uplink BER several times over while the downlink barely moves
         p0 = dataclasses.replace(REF, beta=0.0)
-        ul = [ber_uplink(a, rt_factors(a), p0).ber for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        ul = [ber_uplink(a, O.factors_at(a), p0).ber for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert 3.2 < ul[-1] / ul[0] - 1.0 < 3.6
 
     def test_downlink_nearly_flat_without_self_interference(self):
         p0 = dataclasses.replace(REF, beta=0.0)
-        dl = [ber_downlink(a, rt_factors(a), p0).ber
+        dl = [ber_downlink(a, O.factors_at(a), p0).ber
               for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert max(dl) - min(dl) < 0.02
 
     def test_nondecreasing_in_self_interference(self):
-        fac = rt_factors(0.5)
+        fac = O.factors_at(0.5)
         for fn in (ber_uplink, ber_downlink):
             vals = [fn(0.5, fac, dataclasses.replace(REF, beta=b)).ber
                     for b in (0.0, 1e-9, 1e-8, 1e-7)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_uplink_nonincreasing_in_inversion_target(self):
-        fac = rt_factors(0.5)
+        fac = O.factors_at(0.5)
         vals = [ber_uplink(0.5, fac, dataclasses.replace(REF, rho=r)).ber
                 for r in (0.5e-10, 1e-10, 2e-10)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_downlink_nonincreasing_in_bs_power(self):
-        fac = rt_factors(0.5)
+        fac = O.factors_at(0.5)
         vals = [ber_downlink(0.5, fac, dataclasses.replace(REF, p_b=pb)).ber
                 for pb in (1.0, 5.0, 25.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -331,7 +317,7 @@ class TestBerAssembly:
         # 1e4 W, must not let the quadrature step over it (it gave BER 1),
         # nor overflow r^(2 eta) (a RuntimeWarning fails the suite)
         for alpha in (0.0, 0.3, 1.0):
-            fac = rt_factors(alpha)
+            fac = O.factors_at(alpha)
             near = ber_downlink(alpha, fac, dataclasses.replace(REF, p_u_max=1e4))
             for p_u_max in (1e20, 1e250):
                 far = ber_downlink(alpha, fac, dataclasses.replace(REF, p_u_max=p_u_max))
@@ -360,8 +346,8 @@ class TestBerAssembly:
 
     def test_metrics_fields(self):
         wide = dataclasses.replace(REF, b_u=1e6, b_d=2e6)
-        m_u = ber_uplink(0.5, rt_factors(0.5, wide), wide)
-        m_d = ber_downlink(0.5, rt_factors(0.5, wide), wide)
+        m_u = ber_uplink(0.5, O.factors_at(0.5, wide), wide)
+        m_d = ber_downlink(0.5, O.factors_at(0.5, wide), wide)
         assert m_u.direction is Direction.UPLINK
         assert m_d.direction is Direction.DOWNLINK
         assert m_u.bandwidth == pytest.approx(1.5e6)
@@ -390,7 +376,7 @@ class TestBerAssembly:
 class TestEta4Specialization:
     def test_agrees_with_general_path(self):
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            fac = rt_factors(alpha)
+            fac = O.factors_at(alpha)
             ul4 = O.ber_uplink_eta4_arctan(fac, REF)
             ul = ber_uplink(alpha, fac, REF).ber
             dl4 = O.ber_downlink_eta4_arctan(fac, REF)

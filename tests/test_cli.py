@@ -28,7 +28,7 @@ from alphaduplex.cli import (
 )
 from alphaduplex.model import Direction, SystemParams
 from alphaduplex.montecarlo import EmpiricalMetrics, SimConfig, run_campaign
-from alphaduplex.pulse import BandPlan, PulseKind, PulsePair, interference_factors, make_pulses
+from alphaduplex.pulse import BandPlan, PulseKind, PulsePair
 from alphaduplex.specfun import QuadratureError
 
 
@@ -236,6 +236,8 @@ class TestCommands:
             assert du == ud
 
     def test_analytic_single_point_rows_and_values(self, tmp_path):
+        from mc_oracles import factors_at
+
         rc = cli.main(["analytic", "--out", str(tmp_path),
                        "--alpha-grid", "0:0:1"])
         assert rc == EXIT_OK
@@ -244,10 +246,7 @@ class TestCommands:
                            "throughput_bps"]
         assert [r[0] for r in rows[1:]] == ["uplink", "downlink"]
         p = SystemParams()
-        plan = BandPlan(p.b_u, p.b_d, 0.0)
-        pulses = PulsePair(uplink=PulseKind.TRIANGULAR,
-                           downlink=PulseKind.RECTANGULAR)
-        fac = interference_factors(plan, *make_pulses(pulses, plan))
+        fac = factors_at(0.0, p)   # the default pulse pair, as the CLI's
         ul = ber_uplink(0.0, fac, p)
         dl = ber_downlink(0.0, fac, p)
         assert float(rows[1][2]) == pytest.approx(ul.ber, rel=1e-11)
@@ -791,6 +790,22 @@ class TestErrorHandling:
         rows = read_csv(tmp_path / "analytic.csv")[1:]
         assert {r[2] for r in rows if r[0] == "uplink"} == {"1"}
         assert {r[2] for r in rows if r[0] == "downlink"} == {ber_dl}
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", ["700", "1e10"])
+    def test_overflowing_link_gains_are_limits(self, tmp_path, capsys, eta):
+        # serving distances under 1 m overflow r^-eta in the simulated
+        # downlink: its SINR is inf and its BER 0, the closed forms' limit
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[params]\neta = {eta}\n[sim]\nn_realizations = 2\n"
+                       "region_side = 4 km\ncore_side = 2 km\n")
+        for command in ("simulate", "validate"):
+            assert cli.main([command, "--config", str(ini), "--seed", "1",
+                             "--alpha-grid", "0:1:0.5",
+                             "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "simulate.csv")[1:]
+        assert [r[2] for r in rows if r[0] == "downlink"][0] == "0"
         assert capsys.readouterr().err == ""
 
     def test_sweep_at_vanishing_bandwidths(self, tmp_path, capsys):

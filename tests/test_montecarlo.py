@@ -33,12 +33,11 @@ from alphaduplex.pulse import (
     InterferenceFactors,
     PulseKind,
     PulsePair,
-    interference_factors,
-    make_pulses,
 )
 
 from mc_oracles import (
     core_indices,
+    factors_at,
     link_parts_out_of_place,
     link_parts_per_link,
     sample_realization_per_round,
@@ -792,8 +791,7 @@ class TestCampaign:
     def test_matches_analytic_spot(self):
         cfg = SimConfig(n_realizations=60, seed=13)
         rows = run_campaign(REF, cfg, [0.4], RT_PAIR)
-        plan = BandPlan(REF.b_u, REF.b_d, 0.4)
-        fac = interference_factors(plan, *make_pulses(RT_PAIR, plan))
+        fac = factors_at(0.4, REF, RT_PAIR)
         for m in rows:
             fn = ber_uplink if m.direction is Direction.UPLINK else ber_downlink
             ana = fn(0.4, fac, REF).ber

@@ -17,7 +17,6 @@ from alphaduplex.pulse import (
     PulseKind,
     PulsePair,
     PulseShape,
-    carrier_offset,
     interference_factor_grid,
     interference_factors,
     make_pulses,
@@ -33,26 +32,24 @@ def rt_factors(alpha, b_u=1e6, b_d=1e6):
     return interference_factors(plan, pu, pd)
 
 
-class TestCarrierOffset:
+class TestBandPlan:
     def test_adjacent_bands(self):
-        assert carrier_offset(1e6, 1e6, 0.0) == 1e6
+        assert BandPlan(1e6, 1e6, 0.0).carrier_offset == 1e6
 
     def test_full_overlap_equal_bands(self):
-        assert carrier_offset(2e6, 2e6, 1.0) == 0.0
+        assert BandPlan(2e6, 2e6, 1.0).carrier_offset == 0.0
 
     def test_unequal_bands(self):
-        assert carrier_offset(1e6, 2e6, 0.5) == pytest.approx(1.0e6)
+        assert BandPlan(1e6, 2e6, 0.5).carrier_offset == pytest.approx(1.0e6)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            carrier_offset(1e6, 1e6, 1.5)
-        with pytest.raises(ValueError):
-            carrier_offset(1e6, 1e6, -0.1)
-        with pytest.raises(ValueError):
-            carrier_offset(0.0, 1e6, 0.5)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            BandPlan(1e6, 1e6, 1.5)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            BandPlan(1e6, 1e6, -0.1)
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            BandPlan(0.0, 1e6, 0.5)
 
-
-class TestBandPlan:
     def test_derived_fields(self):
         plan = BandPlan(1e6, 2e6, 0.5)
         assert plan.b == 1e6

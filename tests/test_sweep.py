@@ -7,17 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mc_oracles import factors_at
+
 from alphaduplex import sweep
 from alphaduplex.analytic import ber_downlink, ber_uplink
 from alphaduplex.model import Direction, SystemParams
-from alphaduplex.pulse import (
-    BandPlan,
-    InterferenceFactors,
-    PulseKind,
-    PulsePair,
-    interference_factors,
-    make_pulses,
-)
+from alphaduplex.pulse import InterferenceFactors, PulseKind, PulsePair
 from alphaduplex.sweep import (
     NoCrossingError,
     OperatingPoints,
@@ -39,11 +34,6 @@ def pin_zero_factors(monkeypatch):
     monkeypatch.setattr(sweep, "interference_factor_grid",
                         lambda b_u, b_d, pair, alphas, *a, **k:
                         [ZERO] * len(alphas))
-
-
-def factors_at(alpha, p=REF, pair=RT_PAIR):
-    plan = BandPlan(p.b_u, p.b_d, alpha)
-    return interference_factors(plan, *make_pulses(pair, plan))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +112,12 @@ class TestSweepAlpha:
                         pulses=RT_PAIR)
         with pytest.raises(ValueError):
             SweepResult(rows=((a1, ul0, dl0),), params=REF, pulses=RT_PAIR)
+        # the grid rule of sweep_alpha and parse_alpha_grid
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            SweepResult(rows=(), params=REF, pulses=RT_PAIR)
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            SweepResult(rows=((a0, ul0, dl0), (a0, ul0, dl0)), params=REF,
+                        pulses=RT_PAIR)
 
 
 class TestOperatingPoints:
