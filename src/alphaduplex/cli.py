@@ -14,6 +14,9 @@ files are written (exit 0, or 3 for a failed validation), stdout holds one
 ``wrote <path>`` line per file, in the order ``_COMMANDS`` lists them,
 then the lines of each .txt file.
 
+Only ``simulate`` and ``validate`` import the simulator, when they run:
+``factors``, ``analytic`` and ``sweep`` never load ``montecarlo``.
+
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 UE placement starvation, 5 quadrature failure, 6 crossing refinement
 stalled.  Failures print one machine-readable JSON line to stderr.
@@ -39,9 +42,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .model import (Direction, SystemParams, check_closed_form_domain,
-                    db_to_linear, dbm_to_watts)
-from .montecarlo import SimConfig, StarvationError, run_campaign
+from .model import (Direction, SimConfig, StarvationError, SystemParams,
+                    check_closed_form_domain, db_to_linear, dbm_to_watts)
 from .pulse import PulseKind, PulsePair, interference_factor_grid
 from .specfun import QuadratureError
 from .sweep import (
@@ -304,6 +306,7 @@ def cmd_analytic(cfg: RunConfig) -> tuple[int, list]:
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple[int, list]:
+    from .montecarlo import run_campaign
     metrics = run_campaign(cfg.params, cfg.sim, list(cfg.alpha_grid),
                            cfg.pulses)
     rows = [(m.direction.value, m.alpha, m.mean_ber, m.std_err, m.n_links,
@@ -323,6 +326,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, list]:
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[int, list]:
+    from .montecarlo import run_campaign
     alphas = list(cfg.alpha_grid)
     metrics = run_campaign(cfg.params, cfg.sim, alphas, cfg.pulses)
     factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,

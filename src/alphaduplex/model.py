@@ -1,4 +1,4 @@
-"""System parameters and closed-form stochastic-geometry primitives.
+"""System and campaign parameters, closed-form stochastic-geometry primitives.
 
 Conventions used throughout the package:
 
@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import lower_gamma_2
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "dbm_to_watts",
     "db_to_linear",
     "SystemParams",
+    "SimConfig",
+    "StarvationError",
     "max_inversion_radius_m",
     "check_closed_form_domain",
     "uplink_power_moment",
@@ -124,6 +128,38 @@ class SystemParams:
         if direction is Direction.UPLINK:
             return self.omega1_u, self.omega2_u
         return self.omega1_d, self.omega2_d
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Campaign geometry and reproducibility knobs.
+
+    region_side 20 km gives the 400 km^2 deployment; core_side 2 km keeps
+    measurements inside the central 4 km^2 away from region edges.
+    """
+
+    n_realizations: int = 100
+    seed: int = 1
+    region_side: float = 20.0   # km
+    core_side: float = 2.0      # km
+
+    def __post_init__(self) -> None:
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not 0.0 < self.core_side < self.region_side < math.inf:
+            raise ValueError("core_side and region_side must satisfy "
+                             "0 < core_side < region_side < inf")
+
+
+class StarvationError(RuntimeError):
+    """A BS exhausted its candidate budget without finding an admissible UE.
+
+    Signals an infeasible power-control configuration (inversion radius
+    far smaller than the typical cell) rather than silently leaving cells
+    empty, which would bias interference downward.
+    """
 
 
 def max_inversion_radius_m(p: SystemParams) -> float:

@@ -59,14 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import M_PER_KM, Direction, SystemParams, max_inversion_radius_m
+from .model import (M_PER_KM, Direction, SimConfig, StarvationError,
+                    SystemParams, max_inversion_radius_m)
 from .pulse import (InterferenceFactors, PulsePair, interference_factor_grid,
                     link_throughput)
 from .specfun import erfc
 
 __all__ = [
-    "StarvationError",
-    "SimConfig",
     "NetworkRealization",
     "EmpiricalMetrics",
     "sample_realization",
@@ -95,38 +94,6 @@ _LONE_BATCH = 16
 _block: dict = {}
 _last = None   # the (p, cfg, index) of the last call
 _block_lock = threading.Lock()
-
-
-class StarvationError(RuntimeError):
-    """A BS exhausted its candidate budget without finding an admissible UE.
-
-    Signals an infeasible power-control configuration (inversion radius
-    far smaller than the typical cell) rather than silently leaving cells
-    empty, which would bias interference downward.
-    """
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Campaign geometry and reproducibility knobs.
-
-    region_side 20 km gives the 400 km^2 deployment; core_side 2 km keeps
-    measurements inside the central 4 km^2 away from region edges.
-    """
-
-    n_realizations: int = 100
-    seed: int = 1
-    region_side: float = 20.0   # km
-    core_side: float = 2.0      # km
-
-    def __post_init__(self) -> None:
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if not 0.0 < self.core_side < self.region_side < math.inf:
-            raise ValueError("core_side and region_side must satisfy "
-                             "0 < core_side < region_side < inf")
 
 
 @dataclass(frozen=True)
@@ -480,8 +447,11 @@ def _core_link_parts(real: NetworkRealization, p: SystemParams,
     """
     lo = 0.5 * (cfg.region_side - cfg.core_side)
     hi = lo + cfg.core_side
-    bs, ue = (np.flatnonzero(np.all((pos >= lo) & (pos <= hi), axis=1))
-              for pos in (real.bs_positions, real.ue_positions))
+    def inside(pos):   # two column ands: np.all over axis 1 costs 5x more
+        m = (pos >= lo) & (pos <= hi)
+        return np.flatnonzero(m[:, 0] & m[:, 1])
+
+    bs, ue = inside(real.bs_positions), inside(real.ue_positions)
     return (_link_parts(real.bs_positions[bs], bs, real, p, rng),
             _link_parts(real.ue_positions[ue], ue, real, p, rng) + (
                 M_PER_KM * real.serving_distance[ue], real.tx_power[ue]))

@@ -46,7 +46,9 @@ __all__ = [
 # Lobes per integrand call, 15 Kronrod nodes on each of their 8 seed panels:
 # the lobes of an alpha grid are integrated this many at a time, in band
 # order and across alpha boundaries, which bounds the memory of one call.
-_LOBES_PER_CALL = 128
+# A reference sweep peaks 0.25 MB lower at 64 than at 128, and no lower at
+# 32; the chunking moves no bit.
+_LOBES_PER_CALL = 64
 
 
 class PulseKind(enum.Enum):

@@ -37,11 +37,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def _modules_after(code, package="scipy"):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh
+    interpreter."""
     script = ("import sys; from alphaduplex import cli; " + code + "; "
               "print(sorted(m for m in sys.modules "
-              "if m.split('.')[0] == 'scipy'))")
+              f"if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out.strip().splitlines()[-1])
@@ -335,7 +336,7 @@ class TestCommands:
                         throughput=math.log2(params.m_symbols) * bw * 0.1))
             return out
 
-        monkeypatch.setattr(cli, "run_campaign", fake_campaign)
+        monkeypatch.setattr(montecarlo, "run_campaign", fake_campaign)
         rc = cli.main(["validate", "--out", str(tmp_path),
                        "--alpha-grid", "0:0:1"])
         assert rc == EXIT_VALIDATION
@@ -472,7 +473,9 @@ class TestFrozenOutputs:
         def boom(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
 
-        monkeypatch.setattr(cli, stage, boom)
+        # the simulating commands import run_campaign from montecarlo
+        owner = montecarlo if stage == "run_campaign" else cli
+        monkeypatch.setattr(owner, stage, boom)
         out = tmp_path / "out"
         rc = cli.main([command, "--out", str(out), "--alpha-grid", "0:1:0.5"])
         assert rc == EXIT_QUADRATURE
@@ -707,7 +710,7 @@ class TestErrorHandling:
         def campaign(*args, **kwargs):
             raise AssertionError("the campaign ran")
 
-        monkeypatch.setattr(cli, "run_campaign", campaign)
+        monkeypatch.setattr(montecarlo, "run_campaign", campaign)
         (tmp_path / "validate.txt").mkdir()
         rc = cli.main(["validate", "--out", str(tmp_path), "--alpha-grid", "0:0:1"])
         assert rc == EXIT_CONFIG
@@ -737,7 +740,7 @@ class TestErrorHandling:
         def refuse(*args, **kwargs):
             raise AssertionError("the campaign must not start")
 
-        monkeypatch.setattr(cli, "run_campaign", refuse)
+        monkeypatch.setattr(montecarlo, "run_campaign", refuse)
         ini = tmp_path / "cfg.ini"
         ini.write_text(f"[params]\nlambda_bs = 1 /km2\n"
                        f"[sim]\nregion_side = {side}\n")
@@ -888,7 +891,7 @@ class TestErrorHandling:
                          ("montecarlo.py", "scipy.spatial.cKDTree")}
 
     def test_import_loads_no_scipy(self):
-        assert _scipy_modules_after("import alphaduplex.cli") == []
+        assert _modules_after("import alphaduplex.cli") == []
 
     @pytest.mark.parametrize("command",
                              ["sweep", "analytic", "factors", "simulate"])
@@ -899,7 +902,21 @@ class TestErrorHandling:
         run = (f"rc = cli.main([{command!r}, '--config', {str(ini)!r}, "
                f"'--alpha-grid', '0:1:0.1', '--out', {str(tmp_path)!r}]); "
                "assert rc == 0")
-        assert _scipy_modules_after(run) == []
+        assert _modules_after(run) == []
+
+    @pytest.mark.parametrize("command, simulates", [
+        ("factors", False), ("analytic", False), ("sweep", False),
+        ("simulate", True), ("validate", True)])
+    def test_only_simulating_commands_load_the_simulator(
+            self, tmp_path, command, simulates):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\nn_realizations = 2\n")
+        run = (f"rc = cli.main([{command!r}, '--config', {str(ini)!r}, "
+               f"'--alpha-grid', '0:1:0.5', '--out', {str(tmp_path)!r}]); "
+               "assert rc == 0")
+        loaded = _modules_after(run, "alphaduplex")
+        assert "alphaduplex.sweep" in loaded
+        assert ("alphaduplex.montecarlo" in loaded) is simulates
 
     def test_reference_validate_loads_no_scipy(self, tmp_path):
         # erfc is an in-package Cephes port, and no realization of the
@@ -908,7 +925,7 @@ class TestErrorHandling:
         ini.write_text("[sim]\nn_realizations = 20\n")
         run = (f"rc = cli.main(['validate', '--config', {str(ini)!r}, "
                f"'--out', {str(tmp_path)!r}]); assert rc == 0")
-        assert _scipy_modules_after(run) == []
+        assert _modules_after(run) == []
 
     def test_eta3_simulate_asks_the_k_d_tree(self, tmp_path, monkeypatch):
         # at eta = 3 the realizations list no pairs and ask cKDTree.query;
@@ -920,7 +937,7 @@ class TestErrorHandling:
         args = ["simulate", "--config", str(ini), "--alpha-grid", "0:1:0.5"]
         run = (f"rc = cli.main({args + ['--out', str(tmp_path / 'got')]!r}); "
                "assert rc == 0")
-        assert "scipy.spatial" in _scipy_modules_after(run)
+        assert "scipy.spatial" in _modules_after(run)
         monkeypatch.setattr(montecarlo, "sample_realization",
                             sample_realization_per_round)
         assert cli.main(args + ["--out", str(tmp_path / "want")]) == EXIT_OK
@@ -937,7 +954,7 @@ class TestErrorHandling:
                    f"'--alpha-grid', '0:1:0.5', '--out', {str(tmp_path)!r}]); "
                    "assert rc == 0")
             public = {".".join(m.split(".")[:2])
-                      for m in _scipy_modules_after(run)
+                      for m in _modules_after(run)
                       if "." in m and not m.split(".")[1].startswith("_")}
             assert public == {"scipy.special", "scipy.version"}, command
         assert len(read_csv(tmp_path / "analytic.csv")) == 1 + 2 * 3
