@@ -49,7 +49,7 @@ from .specfun import QuadratureError
 from .sweep import (
     NoCrossingError,
     RefinementStallError,
-    _evaluate_point,
+    _grid_points,
     _validated_grid,
     find_operating_points,
     sweep_alpha,
@@ -329,12 +329,9 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, list]:
     from .montecarlo import run_campaign
     alphas = list(cfg.alpha_grid)
     metrics = run_campaign(cfg.params, cfg.sim, alphas, cfg.pulses)
-    factors = interference_factor_grid(cfg.params.b_u, cfg.params.b_d,
-                                       cfg.pulses, alphas)
-    # rows come as (uplink, downlink) per alpha; one analytic point each
-    analytic = []
-    for m, fac in zip(metrics[::2], factors):
-        analytic.extend(_evaluate_point(cfg.params, m.alpha, fac))
+    # rows come as (uplink, downlink) per alpha, as do the closed forms'
+    analytic = [point for row in _grid_points(cfg.params, cfg.pulses, alphas)
+                for point in row[1:]]
     rows = []
     max_gap = {Direction.UPLINK: 0.0, Direction.DOWNLINK: 0.0}
     failed = False

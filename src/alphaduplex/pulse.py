@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import Direction, SystemParams
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, quad_intervals
+from .specfun import DEFAULT_QUADRATURE, quad_intervals
 
 __all__ = [
     "PulseKind",
@@ -169,17 +169,6 @@ def make_pulses(pair: PulsePair, plan: BandPlan) -> tuple[PulseShape, PulseShape
     )
 
 
-def _check_pulses(plan: BandPlan, pulse_u: PulseShape,
-                  pulse_d: PulseShape) -> None:
-    for pulse, direction in ((pulse_u, Direction.UPLINK),
-                             (pulse_d, Direction.DOWNLINK)):
-        expected = plan.accessible_bandwidth(direction)
-        if not math.isclose(pulse.allocated_band, expected, rel_tol=1e-9):
-            raise ValueError(
-                f"{direction.value} pulse allocated_band {pulse.allocated_band} "
-                f"does not match plan bandwidth {expected}")
-
-
 def _lobes(victim: Direction, plan: BandPlan, pulse_u: PulseShape,
            pulse_d: PulseShape) -> list[tuple]:
     # One row (lo, hi, n_lobes, offset, then peak, band and sinc^2 flag of
@@ -210,25 +199,7 @@ def _lobes(victim: Direction, plan: BandPlan, pulse_u: PulseShape,
     return [(lo, hi, *params) for lo, hi in zip(bps[:-1], bps[1:])]
 
 
-def _correlations(cases, spec: QuadratureSpec = DEFAULT_QUADRATURE
-                  ) -> list[tuple[float, float]]:
-    # (I_d->u, I_u->d) per (plan, pulse_u, pulse_d) case, bit-equal to
-    # integrating the lobes one at a time: each lobe gets abs_tol / n_lobes,
-    # and the lobes are summed in band order as Python floats.  The lobes
-    # of all cases are integrated _LOBES_PER_CALL at a time, so one case
-    # may span several calls.
-    pending = (((i, k), lobe) for i, case in enumerate(cases)
-               for k, victim in enumerate(Direction)
-               for lobe in _lobes(victim, *case))
-    totals = [[0.0, 0.0] for _ in cases]
-    while chunk := list(islice(pending, _LOBES_PER_CALL)):
-        owner, rows = zip(*chunk)
-        for (j, k), value in zip(owner, _integrate_lobes(rows, spec)):
-            totals[j][k] += value
-    return [tuple(t) for t in totals]
-
-
-def _integrate_lobes(rows, spec: QuadratureSpec) -> list[float]:
+def _integrate_lobes(rows) -> list[float]:
     table = np.array(rows, dtype=float)
     lo, hi, n_lobes = table[:, :3].T
 
@@ -242,25 +213,43 @@ def _integrate_lobes(rows, spec: QuadratureSpec) -> list[float]:
                     * _sinc_power(peak_a, band_a, sq_a != 0.0, x)).ravel()
         return f
 
-    return quad_intervals(integrand, lo, hi, spec.abs_tol / n_lobes, spec)
-
-
-def _squared(total: float) -> float:
-    return min(total * total, 1.0)
+    return quad_intervals(integrand, lo, hi,
+                          DEFAULT_QUADRATURE.abs_tol / n_lobes,
+                          DEFAULT_QUADRATURE)
 
 
 def interference_factors(plan: BandPlan, pulse_u: PulseShape,
                          pulse_d: PulseShape) -> InterferenceFactors:
     """The squared factors at the plan's alpha."""
-    _check_pulses(plan, pulse_u, pulse_d)
-    (du, ud), = _correlations([(plan, pulse_u, pulse_d)])
-    return InterferenceFactors(_squared(du), _squared(ud))
+    for pulse, direction in ((pulse_u, Direction.UPLINK),
+                             (pulse_d, Direction.DOWNLINK)):
+        expected = plan.accessible_bandwidth(direction)
+        if not math.isclose(pulse.allocated_band, expected, rel_tol=1e-9):
+            raise ValueError(
+                f"{direction.value} pulse allocated_band {pulse.allocated_band} "
+                f"does not match plan bandwidth {expected}")
+    return interference_factor_grid(plan.b_u, plan.b_d,
+                                    PulsePair(pulse_u.kind, pulse_d.kind),
+                                    [plan.alpha])[0]
 
 
 def interference_factor_grid(b_u: float, b_d: float, pair: PulsePair,
                              alphas) -> list[InterferenceFactors]:
-    """``interference_factors`` at every alpha, bit for bit, in one batch."""
+    """The squared factors at every alpha, in one batch.
+
+    Each lobe gets abs_tol / n_lobes, and the lobes are summed in band
+    order as Python floats; the lobes of all alphas are integrated
+    _LOBES_PER_CALL at a time, so one alpha may span several calls.
+    """
     plans = [BandPlan(b_u, b_d, alpha) for alpha in alphas]
-    return [InterferenceFactors(_squared(du), _squared(ud))
-            for du, ud in _correlations(
-                [(p, *make_pulses(pair, p)) for p in plans])]
+    cases = [(plan, *make_pulses(pair, plan)) for plan in plans]
+    pending = (((i, k), lobe) for i, case in enumerate(cases)
+               for k, victim in enumerate(Direction)
+               for lobe in _lobes(victim, *case))
+    totals = [[0.0, 0.0] for _ in cases]
+    while chunk := list(islice(pending, _LOBES_PER_CALL)):
+        owner, rows = zip(*chunk)
+        for (j, k), value in zip(owner, _integrate_lobes(rows)):
+            totals[j][k] += value
+    return [InterferenceFactors(min(du * du, 1.0), min(ud * ud, 1.0))
+            for du, ud in totals]

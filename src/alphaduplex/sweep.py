@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import LinkMetrics, ber_downlink, ber_uplink
 from .model import Direction, SystemParams
-from .pulse import InterferenceFactors, PulsePair, interference_factor_grid
+from .pulse import PulsePair, interference_factor_grid
 
 __all__ = [
     "NoCrossingError",
@@ -104,10 +104,7 @@ class SweepResult:
 
     def evaluate(self, alpha: float) -> tuple[LinkMetrics, LinkMetrics]:
         """Both-direction metrics at ``alpha`` for this sweep's inputs."""
-        alpha = float(alpha)
-        (factors,) = interference_factor_grid(
-            self.params.b_u, self.params.b_d, self.pulses, [alpha])
-        return _evaluate_point(self.params, alpha, factors)
+        return _grid_points(self.params, self.pulses, [float(alpha)])[0][1:]
 
     def table(self) -> tuple[tuple[float, float, float, float, float], ...]:
         """Rows of (alpha, t_ul, t_dl, ber_ul, ber_dl)."""
@@ -166,10 +163,12 @@ def _pct(new: float, base: float) -> float:
     return 100.0 * ((new - base) / base)
 
 
-def _evaluate_point(params: SystemParams, alpha: float,
-                    factors: InterferenceFactors) -> tuple[LinkMetrics, LinkMetrics]:
-    return (ber_uplink(alpha, factors, params),
-            ber_downlink(alpha, factors, params))
+def _grid_points(params: SystemParams, pulses: PulsePair, alphas
+                 ) -> list[tuple[float, LinkMetrics, LinkMetrics]]:
+    """(alpha, uplink, downlink) closed-form metrics at every alpha."""
+    factors = interference_factor_grid(params.b_u, params.b_d, pulses, alphas)
+    return [(a, ber_uplink(a, f, params), ber_downlink(a, f, params))
+            for a, f in zip(alphas, factors)]
 
 
 def _validated_grid(grid) -> tuple[float, ...]:
@@ -186,11 +185,8 @@ def _validated_grid(grid) -> tuple[float, ...]:
 def sweep_alpha(params: SystemParams, pulses: PulsePair,
                 grid) -> SweepResult:
     """Evaluate both directions at every grid overlap fraction."""
-    alphas = _validated_grid(grid)
-    factors = interference_factor_grid(params.b_u, params.b_d, pulses, alphas)
-    rows = tuple((a, *_evaluate_point(params, a, f))
-                 for a, f in zip(alphas, factors))
-    return SweepResult(rows=rows, params=params, pulses=pulses)
+    rows = _grid_points(params, pulses, _validated_grid(grid))
+    return SweepResult(rows=tuple(rows), params=params, pulses=pulses)
 
 
 class _CachedCurves:

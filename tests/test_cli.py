@@ -343,6 +343,23 @@ class TestCommands:
         rows = read_csv(tmp_path / "validate.csv")
         assert any(r[-1] == "fail" for r in rows[1:])
 
+    def test_validate_and_analytic_write_the_same_closed_forms(self,
+                                                              tmp_path):
+        # three realizations may fail the gate (exit 3): the files are
+        # written all the same
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\nn_realizations = 3\n")
+        for command in ("validate", "analytic"):
+            rc = cli.main([command, "--config", str(ini), "--out",
+                           str(tmp_path), "--alpha-grid", "0:1:0.5"])
+            assert rc in (EXIT_OK, EXIT_VALIDATION)
+        validate = read_csv(tmp_path / "validate.csv")
+        analytic = read_csv(tmp_path / "analytic.csv")
+        assert validate[0][:3] == ["direction", "alpha", "analytic_ber"]
+        assert analytic[0][:3] == ["direction", "alpha", "ber"]
+        assert [r[:3] for r in validate[1:]] == [r[:3] for r in analytic[1:]]
+        assert len(validate) == 7
+
     def test_starvation_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CANDIDATE_CAP", 1)
         monkeypatch.setattr(montecarlo, "_block", {})   # keyed without the cap

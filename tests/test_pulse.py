@@ -341,11 +341,13 @@ class TestBatchedFactors:
         # seed pass and go on to adaptive_quad's bisection
         pair = PulsePair(PulseKind.RECTANGULAR, PulseKind.RECTANGULAR)
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-30)
+        monkeypatch.setattr(pulse, "DEFAULT_QUADRATURE", spec)
         alphas = np.linspace(0.0, 1.0, 11).tolist()
-        cases = [(plan, *pulses)
-                 for plan, pulses in self.cases(pair, 0.1, alphas)]
-        expected = [tuple(factor_per_lobe(victim, *case, spec)
-                          for victim in Direction) for case in cases]
+        expected = [
+            InterferenceFactors(*(min(t * t, 1.0) for t in (
+                factor_per_lobe(victim, plan, *pulses, spec)
+                for victim in Direction)))
+            for plan, pulses in self.cases(pair, 0.1, alphas)]
         fallbacks = []
         real = specfun.adaptive_quad
 
@@ -354,7 +356,7 @@ class TestBatchedFactors:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(specfun, "adaptive_quad", counted)
-        assert pulse._correlations(cases, spec) == expected
+        assert interference_factor_grid(1e5, 1e6, pair, alphas) == expected
         assert 0 < len(fallbacks) < sum(self.n_lobes(pair, 0.1, alphas))
 
     def test_empty_grid(self):

@@ -1,4 +1,4 @@
-"""The model's scaling group as relations between runs of the CLI.
+"""The model's scaling group as relations between runs.
 
 Scale every length by s and every received power by c:
 
@@ -10,6 +10,9 @@ inversion radius scales by s, the UE powers rho r^eta by c s^eta and
 beta p_b by c.  Separately, scaling both bands by k multiplies every
 throughput by k and moves no BER and no alpha.
 
+A hypothesis test draws random group elements and checks the closed
+forms in-process; the others compare runs of the CLI.
+
 The relations catch what breaks dimensional homogeneity, such as a term
 with a wrong exponent or a hard-coded length or power.  A constant-factor
 unit slip (a length in km where the power law wants m) scales along with
@@ -19,18 +22,27 @@ the group and passes them; the frozen values catch those.
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaduplex import cli
 from alphaduplex.model import SimConfig, SystemParams
+from alphaduplex.pulse import PulsePair
+from alphaduplex.sweep import sweep_alpha
+
+
+def group_params(s, c, eta):
+    """The reference parameters moved by (s, c) at eta, by keyword."""
+    p = SystemParams(eta=eta)
+    power = c * s ** eta
+    return {"eta": eta, "lambda_bs": p.lambda_bs / s ** 2,
+            "rho": p.rho * c, "n0": p.n0 * c, "p_b": p.p_b * power,
+            "p_u_max": p.p_u_max * power, "beta": p.beta * s ** -eta}
 
 
 def group_config(s, c, eta=4.0, n_realizations=20):
     """The INI text of the reference config moved by (s, c) at eta."""
-    p, sim = SystemParams(eta=eta), SimConfig()
-    power = c * s ** eta
-    params = {"eta": eta, "lambda_bs": p.lambda_bs / s ** 2,
-              "rho": p.rho * c, "n0": p.n0 * c, "p_b": p.p_b * power,
-              "p_u_max": p.p_u_max * power, "beta": p.beta * s ** -eta}
+    params, sim = group_params(s, c, eta), SimConfig()
     sim_keys = {"n_realizations": n_realizations,
                 "region_side": sim.region_side * s,
                 "core_side": sim.core_side * s}
@@ -103,3 +115,26 @@ def test_bands_scaled_scale_every_throughput(tmp_path):
         elif key.endswith("_bps"):
             assert float(got[key]) == pytest.approx(k * float(want[key]),
                                                     rel=1e-11)
+
+
+def closed_forms(p):
+    """Rows of (alpha, t_ul, t_dl, ber_ul, ber_dl) at 0, 0.28 and 1."""
+    return sweep_alpha(p, PulsePair(), [0.0, 0.28, 1.0]).table()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(log_s=st.floats(-1.0, 1.0), log_c=st.floats(-2.0, 2.0),
+       log_k=st.floats(-0.5, 0.7), eta=st.sampled_from([3.0, 3.5, 4.0]))
+def test_random_group_elements_keep_the_closed_forms(log_s, log_c, log_k,
+                                                     eta):
+    s, c, k = 10.0 ** log_s, 10.0 ** log_c, 10.0 ** log_k
+    base = closed_forms(SystemParams(eta=eta))
+    moved = closed_forms(SystemParams(**group_params(s, c, eta)))
+    banded = closed_forms(SystemParams(eta=eta, b_u=1e6 * k, b_d=1e6 * k))
+    for b, m, w in zip(base, moved, banded):
+        assert m[0] == w[0] == b[0]
+        for ber in (3, 4):
+            assert m[ber] == pytest.approx(b[ber], abs=1e-12)
+            assert w[ber] == pytest.approx(b[ber], abs=1e-12)
+        for t in (1, 2):
+            assert w[t] == pytest.approx(k * b[t], rel=1e-11)
